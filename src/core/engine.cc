@@ -308,6 +308,7 @@ Engine::Engine(vm::MachineConfig machine, EngineConfig config)
     initial->cpu.pc = machine_.program.entry;
     states_.push_back(std::move(initial));
     active_.push_back(states_.back().get());
+    Stats::raiseTo(*hot_.maxActiveStates, active_.size());
     // Root checkpoint: freezes the loaded program image, so the first
     // fork's page delta is empty and a spilled never-forked state
     // serializes only what it wrote after load.
@@ -1807,21 +1808,11 @@ Engine::retireState(ExecutionState &state)
 }
 
 void
-Engine::accountMemory()
-{
-    uint64_t total = 0;
-    for (ExecutionState *s : active_)
-        total += s->memoryFootprint();
-    Stats::raiseTo(*hot_.memoryHighWatermark, total);
-    Stats::raiseTo(*hot_.maxActiveStates, active_.size());
-}
-
-void
 Engine::accountStateMemory(ExecutionState &state)
 {
-    // Incremental version of accountMemory() for parallel mode: each
-    // worker maintains the pool-wide footprint by publishing the delta
-    // of the one state it owns.
+    // Each loop maintains the pool-wide footprint by publishing the
+    // delta of the one state it just ran, forked or retired, so the
+    // cost is per state touched, not per active state.
     uint64_t now_bytes = state.isActive() ? state.memoryFootprint() : 0;
     uint64_t prev = state.accountedBytes;
     state.accountedBytes = now_bytes;
@@ -2042,6 +2033,7 @@ Engine::drainMergePool()
             surv->atMergePoint = false;
             std::lock_guard<std::mutex> lock(statesMutex_);
             active_.push_back(surv);
+            Stats::raiseTo(*hot_.maxActiveStates, active_.size());
             searcher_->stateAdded(*surv);
             reactivated++;
         }
@@ -2335,6 +2327,7 @@ Engine::runSerial()
                     if (state->isActive() && state->atMergePoint)
                         parkForMerge(*state);
                 }
+                accountStateMemory(*state);
             }
 
             // Sweep terminated states.
@@ -2344,10 +2337,10 @@ Engine::runSerial()
                     active_[w++] = active_[r];
                 } else {
                     finishState(*active_[r]);
+                    accountStateMemory(*active_[r]);
                 }
             }
             active_.resize(w);
-            accountMemory();
             governResident();
         }
         if (result.budgetExhausted) {

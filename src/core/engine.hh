@@ -392,6 +392,13 @@ class Engine
     /** The spill store (test/bench introspection of I/O counters). */
     lifecycle::SpillStore &spillStore() { return *spillStore_; }
 
+    /** Summed accounted footprint of live states (0 once run() has
+     *  retired every path); tests check that the accounting balances. */
+    uint64_t accountedMemBytes() const
+    {
+        return currentMemBytes_.load(std::memory_order_relaxed);
+    }
+
     /** Witnesses emitted so far (EngineConfig::emitWitnesses). */
     std::vector<std::shared_ptr<const replay::Witness>> witnesses() const;
 
@@ -424,8 +431,10 @@ class Engine
     void finalizeResult(RunResult &result,
                         std::chrono::steady_clock::time_point start,
                         uint64_t start_instr);
-    /** Parallel-mode incremental footprint accounting (the owner
-     *  worker updates its state's share of the global watermark). */
+    /** Incremental footprint accounting for both loops: the state's
+     *  owner publishes the change in its share of the pool-wide total
+     *  (an inactive state's share drops to 0) and raises the
+     *  watermark. */
     void accountStateMemory(ExecutionState &state);
     /** Remove a finished state from active_ and emit its kill event. */
     void retireState(ExecutionState &state);
@@ -521,7 +530,6 @@ class Engine
                   uint32_t next_pc, uint32_t *next_pc_out);
 
     void finishState(ExecutionState &state);
-    void accountMemory();
 
     // --- Record/replay witnesses --------------------------------------
 
@@ -666,7 +674,7 @@ class Engine
     WorkQueue *queue_ = nullptr; ///< non-null only inside runParallel
     std::atomic<bool> stopFlag_{false};
     std::atomic<bool> budgetExhaustedFlag_{false};
-    /** Sum of active states' accounted footprints (parallel runs). */
+    /** Sum of live states' accounted footprints (both loops). */
     std::atomic<uint64_t> currentMemBytes_{0};
 
     // Fiber-scheduler machinery (null/zero unless useFibers).

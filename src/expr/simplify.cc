@@ -39,10 +39,7 @@ Simplifier::setFacts(const absint::Facts *facts)
 ExprRef
 Simplifier::simplify(ExprRef e)
 {
-    stats_.nodesIn += e->nodeCount();
-    ExprRef out = simplifyDemanded(e, lowMask(e->width()));
-    stats_.nodesOut += out->nodeCount();
-    return out;
+    return simplifyDemanded(e, lowMask(e->width()));
 }
 
 ExprRef

@@ -39,8 +39,6 @@ KnownBits knownBits(ExprRef e);
 
 /** Statistics from a simplification run. */
 struct SimplifyStats {
-    uint64_t nodesIn = 0;
-    uint64_t nodesOut = 0;
     uint64_t constantsFolded = 0;
     uint64_t opsDropped = 0;
 };

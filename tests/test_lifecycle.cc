@@ -1,9 +1,10 @@
 /**
  * @file
  * State-lifecycle suite: checkpoints, the `s2e.state.v1` serializer,
- * fault-tolerant spill-to-disk and s2e_merge_point state merging.
+ * fault-tolerant spill-to-disk, s2e_merge_point state merging and
+ * memory accounting.
  *
- * Covers the three robustness contracts of the lifecycle subsystem:
+ * Covers the robustness contracts of the lifecycle subsystem:
  *
  *  - Serializer round-trip property: a randomized state serializes,
  *    deserializes into a stripped twin and re-serializes to the exact
@@ -20,10 +21,15 @@
  *    preserve the union of per-path feasible values (soundness), and
  *    refuse incompatible states — in which case the run is
  *    byte-equivalent to the merge-disabled oracle.
+ *  - Memory accounting: the pool-wide accounted footprint returns to
+ *    0 after every run (any worker count, cap, merge or budget kill),
+ *    and the serial watermark is a peak of the live set, not a sum
+ *    over every state ever forked.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <map>
 #include <memory>
@@ -176,14 +182,34 @@ expectSamePathSets(const std::map<std::string, std::string> &oracle,
             ADD_FAILURE() << what << ": path " << path << " extra";
 }
 
-/** 2^bits-path fork storm; each path grinds a tiny private loop. */
+/** 2^bits-path fork storm; each path grinds a tiny private loop.
+ *  With merge_prologue the program first forks on three bits of r2 and
+ *  folds the eight siblings into one survivor at an s2e_merge point
+ *  (when merging is enabled) before the storm proper. */
 std::string
-stormSource(unsigned bits, unsigned work = 6)
+stormSource(unsigned bits, unsigned work = 6, bool merge_prologue = false)
 {
     std::string src = R"(
         .entry main
     main:
         movi sp, 0x8000
+)";
+    if (merge_prologue)
+        src += R"(
+        s2e_symreg r2
+        movi r6, 0
+        testi r2, 1
+        jeq m0
+        ori r6, 1
+    m0: testi r2, 2
+        jeq m1
+        ori r6, 2
+    m1: testi r2, 4
+        jeq m2
+        ori r6, 4
+    m2: s2e_merge
+)";
+    src += R"(
         s2e_symreg r1
         movi r5, 0
 )";
@@ -741,6 +767,84 @@ TEST(LifecycleSoak, FourThousandPathStormStaysUnderResidentCap)
     EXPECT_GT(r.statesSpilled, 0u);
     EXPECT_GT(r.statesRestored, 0u);
     EXPECT_GT(r.residentStatesPeak, 0u);
+}
+
+// --- Incremental memory accounting ---------------------------------------
+
+TEST(MemoryAccounting, TotalBalancesToZeroAfterRun)
+{
+    // Every footprint a state publishes is withdrawn when it retires,
+    // whichever loop ran it, whether it was spilled, and whether it
+    // ended by halting or by being absorbed at a merge point.
+    for (bool merge : {false, true})
+        for (unsigned workers : {1u, 2u, 4u})
+            for (uint64_t cap : {uint64_t(0), stormCap()}) {
+                std::string what =
+                    strprintf("merge=%d workers=%u cap=%llu", merge,
+                              workers, static_cast<unsigned long long>(cap));
+                EngineConfig config = differentialConfig(workers);
+                config.maxResidentBytes = cap;
+                config.enableMergePoints = merge;
+                Engine engine(machineFor(stormSource(6, 6, true)), config);
+                RunResult r = engine.run();
+                EXPECT_EQ(r.completed, merge ? 64u : 64u * 8) << what;
+                EXPECT_EQ(r.mergedStates, merge ? 7u : 0u) << what;
+                EXPECT_GT(engine.stats().get("engine.memory_high_watermark"),
+                          0u)
+                    << what;
+                EXPECT_EQ(engine.accountedMemBytes(), 0u) << what;
+            }
+}
+
+TEST(MemoryAccounting, BudgetKilledRunsBalanceToo)
+{
+    // Budgets that trip mid-prologue (with siblings parked at the merge
+    // point) and mid-storm (after the merge): states killed in the
+    // active set and in the merge pool must each withdraw their share.
+    for (uint64_t budget : {25u, 60u})
+        for (unsigned workers : {1u, 4u})
+            for (uint64_t cap : {uint64_t(0), stormCap()}) {
+                std::string what = strprintf(
+                    "budget=%llu workers=%u cap=%llu",
+                    static_cast<unsigned long long>(budget), workers,
+                    static_cast<unsigned long long>(cap));
+                EngineConfig config = differentialConfig(workers);
+                config.enableMergePoints = true;
+                config.maxResidentBytes = cap;
+                config.maxInstructions = budget;
+                Engine engine(machineFor(stormSource(6, 6, true)), config);
+                RunResult r = engine.run();
+                EXPECT_TRUE(r.budgetExhausted) << what;
+                EXPECT_EQ(engine.accountedMemBytes(), 0u) << what;
+            }
+}
+
+TEST(MemoryAccounting, SerialWatermarkIsAPeakNotACumulativeSum)
+{
+    // Depth-first at one worker keeps only the fork frontier live, so
+    // the watermark is bounded by the largest live set times the
+    // largest single footprint (+1: parent and child are both counted
+    // at the fork instant) — not the sum over all 512 paths.
+    Engine engine(machineFor(stormSource(9)), differentialConfig(1));
+    uint64_t largest = 0;
+    auto note = [&largest](const ExecutionState &s) {
+        largest = std::max(largest, s.memoryFootprint());
+    };
+    engine.events().onExecutionFork.subscribe([&](const ForkInfo &info) {
+        note(*info.parent);
+        note(*info.child);
+    });
+    engine.events().onStateKill.subscribe(
+        [&](ExecutionState &s) { note(s); });
+    RunResult r = engine.run();
+    ASSERT_EQ(r.completed, 512u);
+    uint64_t watermark = engine.stats().get("engine.memory_high_watermark");
+    uint64_t max_active = engine.stats().get("engine.max_active_states");
+    EXPECT_GE(watermark, largest);
+    EXPECT_LE(watermark, (max_active + 1) * largest)
+        << "max_active_states " << max_active << ", largest footprint "
+        << largest;
+    EXPECT_EQ(engine.accountedMemBytes(), 0u);
 }
 
 // --- Terminal resource release ------------------------------------------
