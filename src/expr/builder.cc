@@ -30,28 +30,6 @@ computeHash(Kind kind, unsigned width, unsigned aux, uint64_t value,
 
 } // namespace
 
-size_t
-ExprBuilder::NodeHash::operator()(const Expr *e) const
-{
-    return e->hash();
-}
-
-bool
-ExprBuilder::NodeEq::operator()(const Expr *a, const Expr *b) const
-{
-    if (a->kind() != b->kind() || a->width() != b->width() ||
-        a->aux() != b->aux())
-        return false;
-    if (a->kind() == Kind::Constant)
-        return a->value() == b->value();
-    if (a->kind() == Kind::Variable)
-        return a->varId() == b->varId();
-    for (unsigned i = 0; i < a->arity(); ++i)
-        if (a->kid(i) != b->kid(i))
-            return false;
-    return true;
-}
-
 ExprBuilder::ExprBuilder()
 {
     false_ = constant(0, 1);
@@ -63,61 +41,64 @@ ExprBuilder::intern(Kind kind, unsigned width, unsigned aux, uint64_t value,
                     ExprRef k0, ExprRef k1, ExprRef k2,
                     const std::string *name)
 {
-    Expr probe;
-    probe.kind_ = kind;
-    probe.width_ = width;
-    probe.aux_ = aux;
-    probe.value_ = value;
-    probe.kids_[0] = k0;
-    probe.kids_[1] = k1;
-    probe.kids_[2] = k2;
-    probe.hash_ = computeHash(kind, width, aux, value, k0, k1, k2);
-    probe.name_ = name;
+    uint64_t h = computeHash(kind, width, aux, value, k0, k1, k2);
+    // The hash's own high bits barely vary (all constants share them),
+    // so the shard comes from the high bits of a Fibonacci remix.
+    Shard &shard = shards_[(h * 0x9e3779b97f4a7c15ULL) >> (64 - kShardBits)];
+    std::lock_guard<std::mutex> lock(shard.mu);
 
-    {
-        std::shared_lock<std::shared_mutex> lock(mu_);
-        auto it = table_.find(&probe);
-        if (it != table_.end())
-            return *it;
+    std::vector<Slot> &slots = shard.slots;
+    if (slots.empty())
+        slots.resize(16);
+    size_t mask = slots.size() - 1;
+    size_t i = h & mask;
+    for (; slots[i].node; i = (i + 1) & mask) {
+        const Expr *e = slots[i].node;
+        // Unused kids are null and non-leaf nodes carry value 0, so
+        // comparing every field is structural equality.
+        if (slots[i].hash == h && e->kind_ == kind && e->width_ == width &&
+            e->aux_ == aux && e->value_ == value && e->kids_[0] == k0 &&
+            e->kids_[1] == k1 && e->kids_[2] == k2)
+            return e;
     }
 
-    std::unique_lock<std::shared_mutex> lock(mu_);
-    // Another worker may have interned the node between the locks.
-    auto it = table_.find(&probe);
-    if (it != table_.end())
-        return *it;
+    if (shard.size % kChunkNodes == 0)
+        shard.chunks.push_back(std::unique_ptr<Expr[]>(new Expr[kChunkNodes]));
+    Expr &node = shard.chunks.back()[shard.size++ % kChunkNodes];
+    node.kind_ = kind;
+    node.width_ = width;
+    node.aux_ = aux;
+    node.value_ = value;
+    node.kids_[0] = k0;
+    node.kids_[1] = k1;
+    node.kids_[2] = k2;
+    node.hash_ = h;
+    node.name_ = name;
+    slots[i] = {h, &node};
 
-    arena_.push_back(probe);
-    Expr *node = &arena_.back();
-    table_.insert(node);
-    return node;
+    if (shard.size * 4 > slots.size() * 3) {
+        std::vector<Slot> grown(slots.size() * 2);
+        mask = grown.size() - 1;
+        for (const Slot &s : slots) {
+            size_t j = s.hash & mask;
+            while (grown[j].node)
+                j = (j + 1) & mask;
+            grown[j] = s;
+        }
+        slots.swap(grown);
+    }
+    return &node;
 }
 
-/** intern() body for callers already holding mu_ exclusively. */
-ExprRef
-ExprBuilder::internLocked(Kind kind, unsigned width, unsigned aux,
-                          uint64_t value, ExprRef k0, ExprRef k1, ExprRef k2,
-                          const std::string *name)
+size_t
+ExprBuilder::numNodes() const
 {
-    Expr probe;
-    probe.kind_ = kind;
-    probe.width_ = width;
-    probe.aux_ = aux;
-    probe.value_ = value;
-    probe.kids_[0] = k0;
-    probe.kids_[1] = k1;
-    probe.kids_[2] = k2;
-    probe.hash_ = computeHash(kind, width, aux, value, k0, k1, k2);
-    probe.name_ = name;
-
-    auto it = table_.find(&probe);
-    if (it != table_.end())
-        return *it;
-
-    arena_.push_back(probe);
-    Expr *node = &arena_.back();
-    table_.insert(node);
-    return node;
+    size_t n = 0;
+    for (const Shard &shard : shards_) {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        n += shard.size;
+    }
+    return n;
 }
 
 ExprRef
@@ -132,12 +113,12 @@ ExprRef
 ExprBuilder::freshVar(const std::string &base, unsigned width)
 {
     S2E_ASSERT(width >= 1 && width <= 64, "bad variable width %u", width);
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(varMu_);
     uint64_t id = nextVarId_++;
     names_.push_back(strprintf("%s#%llu", base.c_str(),
                                static_cast<unsigned long long>(id)));
-    ExprRef v = internLocked(Kind::Variable, width, 0, id, nullptr, nullptr,
-                             nullptr, &names_.back());
+    ExprRef v = intern(Kind::Variable, width, 0, id, nullptr, nullptr,
+                       nullptr, &names_.back());
     varsById_.push_back(v);
     return v;
 }
@@ -145,7 +126,7 @@ ExprBuilder::freshVar(const std::string &base, unsigned width)
 ExprRef
 ExprBuilder::var(const std::string &name, unsigned width)
 {
-    std::unique_lock<std::shared_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(varMu_);
     auto it = namedVars_.find(name);
     if (it != namedVars_.end()) {
         S2E_ASSERT(it->second->width() == width,
@@ -156,8 +137,8 @@ ExprBuilder::var(const std::string &name, unsigned width)
     S2E_ASSERT(width >= 1 && width <= 64, "bad variable width %u", width);
     uint64_t id = nextVarId_++;
     names_.push_back(name);
-    ExprRef v = internLocked(Kind::Variable, width, 0, id, nullptr, nullptr,
-                             nullptr, &names_.back());
+    ExprRef v = intern(Kind::Variable, width, 0, id, nullptr, nullptr,
+                       nullptr, &names_.back());
     varsById_.push_back(v);
     namedVars_[name] = v;
     return v;
@@ -166,7 +147,7 @@ ExprBuilder::var(const std::string &name, unsigned width)
 ExprRef
 ExprBuilder::varById(uint64_t id) const
 {
-    std::shared_lock<std::shared_mutex> lock(mu_);
+    std::lock_guard<std::mutex> lock(varMu_);
     S2E_ASSERT(id < varsById_.size(), "unknown variable id %llu",
                static_cast<unsigned long long>(id));
     return varsById_[id];

@@ -12,11 +12,10 @@
 #define S2E_EXPR_BUILDER_HH
 
 #include <deque>
+#include <memory>
 #include <mutex>
-#include <shared_mutex>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "expr/expr.hh"
@@ -25,10 +24,13 @@ namespace s2e::expr {
 
 /**
  * Factory and owner of all expression nodes. One builder per engine,
- * shared by all exploration workers: the hash-cons table takes a
- * shared lock on the lookup hot path and an exclusive lock only to
- * insert a new node, so concurrent workers may intern expressions
- * freely. Returned ExprRefs are immutable and never invalidated.
+ * shared by all exploration workers. The hash-cons table is split into
+ * kShards shards picked by the (remixed) node hash's high bits; each has
+ * its own mutex, open-addressing table and arena, so interning a node
+ * is one find-or-insert probe under one shard lock and workers
+ * interning unrelated nodes rarely contend. Variables are numbered
+ * under a separate mutex, taken before (never after) a shard lock.
+ * Returned ExprRefs are immutable and never invalidated.
  */
 class ExprBuilder
 {
@@ -60,7 +62,7 @@ class ExprBuilder
     uint64_t
     numVars() const
     {
-        std::shared_lock<std::shared_mutex> lock(mu_);
+        std::lock_guard<std::mutex> lock(varMu_);
         return nextVarId_;
     }
 
@@ -125,12 +127,7 @@ class ExprBuilder
     // --- Introspection ----------------------------------------------
 
     /** Total distinct nodes allocated (constants included). */
-    size_t
-    numNodes() const
-    {
-        std::shared_lock<std::shared_mutex> lock(mu_);
-        return arena_.size();
-    }
+    size_t numNodes() const;
 
     /** Constant-fold a binary op on raw values (exposed for tests). */
     static uint64_t foldBinary(Kind kind, uint64_t a, uint64_t b,
@@ -148,22 +145,34 @@ class ExprBuilder
     ExprRef intern(Kind kind, unsigned width, unsigned aux, uint64_t value,
                    ExprRef k0, ExprRef k1, ExprRef k2,
                    const std::string *name);
-    ExprRef internLocked(Kind kind, unsigned width, unsigned aux,
-                         uint64_t value, ExprRef k0, ExprRef k1, ExprRef k2,
-                         const std::string *name);
     ExprRef binary(Kind kind, ExprRef a, ExprRef b);
     ExprRef compare(Kind kind, ExprRef a, ExprRef b);
 
-    struct NodeHash {
-        size_t operator()(const Expr *e) const;
-    };
-    struct NodeEq {
-        bool operator()(const Expr *a, const Expr *b) const;
+    static constexpr unsigned kShardBits = 4;
+    static constexpr size_t kShards = size_t{1} << kShardBits;
+
+    struct Slot {
+        uint64_t hash = 0;
+        Expr *node = nullptr; ///< null marks an empty slot
     };
 
-    mutable std::shared_mutex mu_;
-    std::deque<Expr> arena_;
-    std::unordered_set<Expr *, NodeHash, NodeEq> table_;
+    /** Nodes per arena chunk; chunks never move, so ExprRefs stay valid. */
+    static constexpr size_t kChunkNodes = 64;
+
+    /** Linear-probing table (power-of-two size from 16, at most 3/4
+     *  full) over the shard's own chunked arena. Both are allocated on
+     *  the shard's first insert, which keeps a new builder (one per
+     *  engine) cheap to construct. */
+    struct alignas(64) Shard {
+        mutable std::mutex mu;
+        std::vector<Slot> slots;
+        std::vector<std::unique_ptr<Expr[]>> chunks;
+        size_t size = 0;
+    };
+
+    Shard shards_[kShards];
+
+    mutable std::mutex varMu_; ///< guards the four variable members below
     std::deque<std::string> names_;
     std::unordered_map<std::string, ExprRef> namedVars_;
     std::vector<ExprRef> varsById_;

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <set>
+#include <thread>
+#include <vector>
+
 #include "expr/builder.hh"
 #include "expr/eval.hh"
 #include "support/bitops.hh"
@@ -293,6 +298,168 @@ TEST_F(ExprTest, PropertyFoldingMatchesEval)
             << kindName(k) << " lhs=" << evaluate(lhs, a)
             << " rhs=" << evaluate(rhs, a);
     }
+}
+
+/**
+ * Builds a seeded stream of 32-bit expressions (constants, the named
+ * variable x, binary ops, compare-fed ites, extract+zext), each from
+ * earlier results, and returns every node the stream produced. The
+ * stream depends only on the seed, so any builder yields the same
+ * structures in the same order.
+ */
+std::vector<ExprRef>
+buildStream(ExprBuilder &b, uint64_t seed, int steps)
+{
+    Rng rng(seed);
+    std::vector<ExprRef> pool = {b.var("x", 32), b.constant(7, 32)};
+    std::vector<ExprRef> out;
+    for (int i = 0; i < steps; ++i) {
+        ExprRef l = pool[rng.below(pool.size())];
+        ExprRef r = pool[rng.below(pool.size())];
+        ExprRef e;
+        switch (rng.below(6)) {
+          case 0: e = b.constant(rng.next(), 32); break;
+          case 1: e = b.var("x", 32); break;
+          case 2: {
+            ExprRef (ExprBuilder::*ops[])(ExprRef, ExprRef) = {
+                &ExprBuilder::add, &ExprBuilder::sub, &ExprBuilder::mul,
+                &ExprBuilder::bAnd, &ExprBuilder::bOr, &ExprBuilder::bXor,
+                &ExprBuilder::shl, &ExprBuilder::lshr};
+            e = (b.*ops[rng.below(8)])(l, r);
+            break;
+          }
+          case 3: {
+            ExprRef (ExprBuilder::*cmps[])(ExprRef, ExprRef) = {
+                &ExprBuilder::eq, &ExprBuilder::ult, &ExprBuilder::slt};
+            ExprRef cond = (b.*cmps[rng.below(3)])(l, r);
+            out.push_back(cond);
+            e = b.ite(cond, l, r);
+            break;
+          }
+          case 4: {
+            ExprRef byte = b.extract(l, 8 * rng.below(4), 8);
+            out.push_back(byte);
+            e = b.zext(byte, 32);
+            break;
+          }
+          default: e = b.neg(l); break;
+        }
+        pool.push_back(e);
+        out.push_back(e);
+    }
+    return out;
+}
+
+TEST(ExprBuilder, ConcurrentInternIsCanonical)
+{
+    constexpr int kThreads = 4;
+    constexpr int kSteps = 4000;
+    constexpr int kFresh = 200;
+    ExprBuilder shared;
+    std::vector<std::vector<ExprRef>> streams(kThreads);
+    std::vector<std::vector<ExprRef>> fresh(kThreads);
+    std::atomic<bool> go{false};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            while (!go.load())
+                std::this_thread::yield();
+            for (int i = 0; i < kFresh; ++i)
+                fresh[t].push_back(shared.freshVar("t", 8));
+            streams[t] = buildStream(shared, 99, kSteps);
+        });
+    }
+    go.store(true);
+    for (auto &th : threads)
+        th.join();
+
+    for (int t = 1; t < kThreads; ++t)
+        EXPECT_EQ(streams[t], streams[0]) << "thread " << t;
+
+    ExprBuilder single;
+    std::vector<ExprRef> reference = buildStream(single, 99, kSteps);
+    ASSERT_EQ(reference.size(), streams[0].size());
+    for (size_t i = 0; i < reference.size(); ++i)
+        ASSERT_EQ(reference[i]->toString(), streams[0][i]->toString());
+    EXPECT_EQ(shared.numNodes(),
+              single.numNodes() + size_t{kThreads} * kFresh);
+
+    std::set<uint64_t> ids;
+    for (const auto &vars : fresh) {
+        for (ExprRef v : vars) {
+            EXPECT_TRUE(ids.insert(v->varId()).second);
+            EXPECT_EQ(shared.varById(v->varId()), v);
+        }
+    }
+    EXPECT_EQ(shared.numVars(), 1 + uint64_t{kThreads} * kFresh);
+}
+
+TEST(ExprBuilder, GrowthKeepsIdentity)
+{
+    // 120k nodes over 16 shards is ~7.5k per shard: about nine table
+    // doublings each from the initial 16 slots.
+    ExprBuilder b;
+    ExprRef x = b.var("x", 32);
+    auto build = [&] {
+        std::vector<ExprRef> nodes;
+        for (uint64_t i = 1; i <= 60000; ++i) {
+            nodes.push_back(b.constant(i << 8, 32));
+            nodes.push_back(b.bXor(x, b.constant(i, 32)));
+        }
+        return nodes;
+    };
+    std::vector<ExprRef> first = build();
+    size_t count = b.numNodes();
+    EXPECT_GE(count, 120000u);
+    EXPECT_EQ(build(), first);
+    EXPECT_EQ(b.numNodes(), count);
+
+    // Nodes that differ in one field over the same kids stay distinct.
+    ExprRef y = b.var("y", 32);
+    ExprRef x8 = b.extract(x, 0, 8);
+    auto buildNear = [&] {
+        return std::vector<ExprRef>{
+            b.add(x, y), b.sub(x, y), b.mul(x, y), b.bAnd(x, y),
+            b.bOr(x, y), b.bXor(x, y), b.udiv(x, y), b.urem(x, y),
+            b.eq(x, y), b.ult(x, y), b.ule(x, y), b.slt(x, y),
+            b.sle(x, y), b.zext(x8, 16), b.zext(x8, 32), b.sext(x8, 16),
+            b.sext(x8, 32), x8, b.extract(x, 8, 8), b.extract(x, 16, 8),
+            b.extract(x, 0, 16), b.constant(5, 32), b.constant(5, 16),
+            b.constant(6, 32)};
+    };
+    std::vector<ExprRef> near = buildNear();
+    EXPECT_EQ(std::set<ExprRef>(near.begin(), near.end()).size(),
+              near.size());
+    size_t withNear = b.numNodes();
+    EXPECT_EQ(buildNear(), near);
+    EXPECT_EQ(b.numNodes(), withNear);
+}
+
+TEST(ExprBuilder, FullHashCollisionStaysDistinct)
+{
+    // Solve for a 64-bit constant whose node hash equals that of
+    // (const w32 5), mirroring computeHash() in builder.cc for
+    // constants (kind 0, aux 0, no kids): the two nodes then share a
+    // shard and a probe sequence, and only the slot's field-by-field
+    // comparison tells them apart.
+    constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
+    auto mix = [](uint64_t h, uint64_t v) {
+        return h ^ (v + kGolden + (h << 6) + (h >> 2));
+    };
+    auto prefix = [&](unsigned width) { return mix(mix(0, width), 0); };
+    uint64_t target = mix(prefix(32), 5);
+    uint64_t h64 = prefix(64);
+    uint64_t value = (target ^ h64) - (kGolden + (h64 << 6) + (h64 >> 2));
+
+    ExprBuilder b;
+    ExprRef narrow = b.constant(5, 32);
+    ExprRef wide = b.constant(value, 64);
+    ASSERT_EQ(narrow->hash(), wide->hash()) << "hash function changed";
+    EXPECT_NE(narrow, wide);
+    EXPECT_EQ(wide->width(), 64u);
+    EXPECT_EQ(wide->value(), value);
+    EXPECT_EQ(b.constant(value, 64), wide);
+    EXPECT_EQ(b.constant(5, 32), narrow);
 }
 
 } // namespace

@@ -19,8 +19,10 @@
 #                                release: solver contexts and spill files)
 #                                plus `ctest -L replay` there
 #   3. a ThreadSanitizer build — `ctest -L tsan` under build-tsan/
-#                                (parallel, incremental and lifecycle
-#                                suites all carry the tsan label)
+#                                (parallel, incremental, lifecycle and
+#                                fiber suites and the expression
+#                                builder's concurrent-intern tests all
+#                                carry the tsan label)
 # Also gates clang-tidy (zero warnings over src/expr and src/solver,
 # skipped when clang-tidy is not installed) and diffs a fresh
 # bench_fork_storm report against the committed baseline: missing
@@ -45,7 +47,7 @@ asan_dir=${3:-"$repo_root/build-asan"}
 jobs=$(nproc 2>/dev/null || echo 2)
 
 check_targets="test_parallel test_incremental test_lifecycle test_absint \
-test_replay test_fiber"
+test_replay test_fiber test_expr"
 
 status=0
 
