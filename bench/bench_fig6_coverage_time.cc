@@ -137,13 +137,12 @@ main(int argc, char **argv)
     std::printf("\n=== serial vs parallel (%u workers, fixed "
                 "instruction budget) ===\n",
                 workers);
-    auto timed_run = [](unsigned n, bool fibers = false) {
+    auto timed_run = [](unsigned n) {
         RevConfig config;
         config.driver = guest::allDriverKinds()[0];
         config.maxWallSeconds = 0; // instruction budget only
         config.maxInstructions = 1'500'000;
         config.numWorkers = n;
-        config.useFibers = fibers;
         Rev rev(config);
         return rev.run();
     };
@@ -169,60 +168,6 @@ main(int argc, char **argv)
     report.setMetric("parallel_speedup_x", speedup);
     report.setMetric("serial_coverage", serial_cov);
     report.setMetric("parallel_coverage", parallel_cov);
-
-    // Fiber scheduler on the same driver exploration: workers park at
-    // solver choke points instead of blocking, so the share of worker
-    // busy time spent executing (vs inside worker-local solver calls)
-    // rises, and service solving overlaps guest execution — a ratio
-    // that is identically zero on the blocking engine above.
-    std::printf("\n=== fiber scheduler (%u workers, same instruction "
-                "budget) ===\n",
-                workers);
-    RevResult fiber_run = timed_run(workers, /*fibers=*/true);
-    const core::RunResult &fr = fiber_run.run;
-    auto exec_utilization = [](const core::RunResult &r) {
-        double busy = 0;
-        for (double b : r.workerBusySeconds)
-            busy += b;
-        if (busy <= 0)
-            return 0.0;
-        return r.workerSolverSeconds < busy
-                   ? (busy - r.workerSolverSeconds) / busy
-                   : 0.0;
-    };
-    double blocking_util = exec_utilization(parallel_run.run);
-    double fiber_util = exec_utilization(fr);
-    double batched_fraction =
-        fr.asyncQueries > 0
-            ? double(fr.batchedQueries) / double(fr.asyncQueries)
-            : 0.0;
-    std::printf("  fibers (%u workers): %6.3f s, %.1f%% coverage\n",
-                workers, fr.wallSeconds, fiber_run.driverCoverage * 100);
-    std::printf("  suspends %llu  async %llu  batched %llu  "
-                "overlap ratio %.3f\n",
-                static_cast<unsigned long long>(fr.suspends),
-                static_cast<unsigned long long>(fr.asyncQueries),
-                static_cast<unsigned long long>(fr.batchedQueries),
-                fr.solverOverlapRatio);
-    std::printf("  exec-utilization: fibers %.3f vs blocking %.3f "
-                "(above baseline: %s)\n",
-                fiber_util, blocking_util,
-                fiber_util > blocking_util ? "YES" : "NO");
-    std::printf("  coverage parity: %s\n",
-                fiber_run.driverCoverage + 0.05 >= parallel_cov ? "YES"
-                                                                : "NO");
-    report.setMetric("fiber_wall_seconds", fr.wallSeconds);
-    report.setMetric("fiber_coverage", fiber_run.driverCoverage);
-    report.setMetric("solver_overlap_ratio", fr.solverOverlapRatio);
-    report.setMetric("fiber_worker_exec_utilization", fiber_util);
-    report.setMetric("blocking_worker_exec_utilization", blocking_util);
-    report.setMetric("batched_query_fraction", batched_fraction);
-    report.setMetric("fiber_suspend_resume_per_sec",
-                     fr.suspendResumePerSec);
-    report.setMetric("fiber_paths_match",
-                     fiber_run.driverCoverage + 0.05 >= parallel_cov
-                         ? 1.0
-                         : 0.0);
 
     double replay_ips =
         replay_wall > 0 ? double(replay_instr) / replay_wall : 0.0;

@@ -8,9 +8,9 @@
  *
  * Sections:
  *
- *   - all-resident serial oracle vs the capped parallel run: same
- *     completed-path count, wall time, and the resident-state peak
- *     that proves the cap actually bounds the pool (thousands of
+ *   - all-resident breadth-first oracle vs the capped parallel run:
+ *     same completed-path count, wall time, and the resident-state
+ *     peak that proves the cap actually bounds the pool (thousands of
  *     paths, a few dozen states ever resident at once);
  *   - spill-I/O fault injection: transient write faults must be
  *     absorbed by the retry loop (zero failures, exact path count),
@@ -27,11 +27,13 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <string>
 
 #include "core/engine.hh"
 #include "core/state.hh"
 #include "obs/report.hh"
+#include "plugins/searchers.hh"
 #include "support/logging.hh"
 #include "vm/devices.hh"
 
@@ -147,7 +149,7 @@ runStorm(const std::string &source, unsigned workers, uint64_t cap,
          bool merge_points,
          const core::lifecycle::SpillFaultPolicy &faults = {},
          obs::RunReport *report = nullptr, bool use_absint = true,
-         bool use_fibers = false)
+         std::unique_ptr<core::Searcher> searcher = nullptr)
 {
     core::EngineConfig config;
     config.numWorkers = workers;
@@ -155,11 +157,12 @@ runStorm(const std::string &source, unsigned workers, uint64_t cap,
     config.enableMergePoints = merge_points;
     config.spillFaults = faults;
     config.solverOptions.useAbsint = use_absint;
-    config.useFibers = use_fibers;
     // Measurement harness: the verify oracle re-solves every static
     // verdict and would mask the query savings.
     config.solverOptions.verifyAbsint = false;
     core::Engine engine(machineFor(source), config);
+    if (searcher)
+        engine.setSearcher(std::move(searcher));
     StormRun out;
     out.result = engine.run();
     out.memWatermark = engine.stats().get("engine.memory_high_watermark");
@@ -224,7 +227,12 @@ main(int argc, char **argv)
     obs::RunReport report("bench_fork_storm");
 
     std::printf("--- all-resident oracle vs capped spill/merge run ---\n");
-    StormRun oracle = runStorm(source, 1, 0, true);
+    // Breadth-first keeps the whole storm frontier resident; a
+    // depth-first oracle finishes each path before forking the next
+    // and never holds more than a dozen states.
+    StormRun oracle =
+        runStorm(source, 1, 0, true, {}, nullptr, true,
+                 std::make_unique<plugins::BreadthFirstSearcher>());
     printRun("all-resident (1 worker)", oracle);
     StormRun capped = runStorm(source, workers, cap, true, {}, &report);
     printRun(strprintf("capped (%u workers)", workers).c_str(), capped);
@@ -294,75 +302,6 @@ main(int argc, char **argv)
                              absint_off.result.completed
                          ? 1.0
                          : 0.0);
-
-    // Fiber scheduler: the same storm under the blocking worker pool
-    // vs fiber-per-state scheduling with the async batched solver
-    // service. Workers never stall in the solver under fibers, so the
-    // share of worker busy time spent *executing* (rather than inside
-    // worker-local solver calls) must rise, and some service solving
-    // must overlap guest execution — a ratio that is identically zero
-    // on the blocking engine.
-    unsigned fiber_bits = bits >= 9 ? 9 : bits;
-    std::string fiber_src = stormSource(fiber_bits, false);
-    std::printf("\n--- fiber scheduler vs blocking pool (2^%u paths, "
-                "%u workers) ---\n",
-                fiber_bits, workers);
-    StormRun blocking =
-        runStorm(fiber_src, workers, 0, false, {}, nullptr, true, false);
-    StormRun fibered =
-        runStorm(fiber_src, workers, 0, false, {}, nullptr, true, true);
-    // Fraction of worker busy time spent executing states rather than
-    // blocked inside a worker-local solver call. Under fibers the
-    // choke-point queries move to the service threads, so this rises.
-    auto exec_utilization = [](const StormRun &run) {
-        double busy = 0;
-        for (double b : run.result.workerBusySeconds)
-            busy += b;
-        if (busy <= 0)
-            return 0.0;
-        double in_solver = run.result.workerSolverSeconds;
-        return in_solver < busy ? (busy - in_solver) / busy : 0.0;
-    };
-    const core::RunResult &fr = fibered.result;
-    double blocking_util = exec_utilization(blocking);
-    double fiber_util = exec_utilization(fibered);
-    double batched_fraction =
-        fr.asyncQueries > 0
-            ? double(fr.batchedQueries) / double(fr.asyncQueries)
-            : 0.0;
-    bool fiber_paths_match =
-        fr.completed == blocking.result.completed;
-    std::printf("%-28s %10.3f s   exec-utilization %.3f\n",
-                "blocking pool", blocking.result.wallSeconds,
-                blocking_util);
-    std::printf("%-28s %10.3f s   exec-utilization %.3f\n", "fibers",
-                fr.wallSeconds, fiber_util);
-    std::printf("    suspends %llu  resumes %llu  async %llu  "
-                "batched %llu  inline-fallbacks %llu\n",
-                static_cast<unsigned long long>(fr.suspends),
-                static_cast<unsigned long long>(fr.resumes),
-                static_cast<unsigned long long>(fr.asyncQueries),
-                static_cast<unsigned long long>(fr.batchedQueries),
-                static_cast<unsigned long long>(
-                    fr.inlineSolverFallbacks));
-    std::printf("    overlap ratio %.3f  service busy %.3f s  "
-                "queue depth peak %llu  fibers peak %llu\n",
-                fr.solverOverlapRatio, fr.serviceBusySeconds,
-                static_cast<unsigned long long>(fr.solverQueueDepthPeak),
-                static_cast<unsigned long long>(fr.fibersPeak));
-    report.setMetric("fiber_paths_match", fiber_paths_match ? 1.0 : 0.0);
-    report.setMetric("fiber_wall_seconds", fr.wallSeconds);
-    report.setMetric("blocking_wall_seconds",
-                     blocking.result.wallSeconds);
-    report.setMetric("solver_overlap_ratio", fr.solverOverlapRatio);
-    report.setMetric("fiber_worker_exec_utilization", fiber_util);
-    report.setMetric("blocking_worker_exec_utilization", blocking_util);
-    report.setMetric("batched_query_fraction", batched_fraction);
-    report.setMetric("fiber_suspend_resume_per_sec",
-                     fr.suspendResumePerSec);
-    report.setMetric("fiber_suspends", double(fr.suspends));
-    report.setMetric("fiber_inline_fallbacks",
-                     double(fr.inlineSolverFallbacks));
 
     // Spill-I/O resilience at a smaller path count (the fault draws
     // hit every op, so the interesting part is the ladder, not scale).
@@ -439,16 +378,6 @@ main(int argc, char **argv)
     std::printf("Resilience check: persistent restore faults kill "
                 "cleanly, accounting exact: %s\n",
                 kills_accounted ? "YES" : "NO");
-    std::printf("Fiber check: same path count as the blocking pool: "
-                "%s\n",
-                fiber_paths_match ? "YES" : "NO");
-    std::printf("Fiber check: solver overlap ratio > 0 (blocking "
-                "engine is always 0): %s\n",
-                fr.solverOverlapRatio > 0 ? "YES" : "NO");
-    std::printf("Fiber check: worker exec-utilization above the "
-                "blocking baseline (%.3f > %.3f): %s\n",
-                fiber_util, blocking_util,
-                fiber_util > blocking_util ? "YES" : "NO");
     std::printf("Absint check: re-test tail pruned statically "
                 "(static_prunes > 0): %s\n",
                 absint_on.staticPrunes > 0 ? "YES" : "NO");

@@ -10,13 +10,11 @@
 
 #include <fstream>
 
-#include "core/fiber.hh"
 #include "core/lifecycle/checkpoint.hh"
 #include "core/lifecycle/merge.hh"
 #include "core/lifecycle/serializer.hh"
 #include "core/replay/extract.hh"
 #include "core/replay/replayer.hh"
-#include "solver/service.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
 
@@ -242,24 +240,7 @@ Engine::Engine(vm::MachineConfig machine, EngineConfig config)
         &stats_.counterSlot("engine.witnesses_skipped");
     hot_.replayDivergences =
         &stats_.counterSlot("engine.replay_divergences");
-    hot_.fibersActive = &stats_.counterSlot("engine.fibers_active");
-    hot_.solverQueueDepth =
-        &stats_.counterSlot("engine.solver_queue_depth");
-    hot_.batchedQueries = &stats_.counterSlot("engine.batched_queries");
-    hot_.suspends = &stats_.counterSlot("engine.suspends");
-    hot_.resumes = &stats_.counterSlot("engine.resumes");
-    hot_.asyncQueries = &stats_.counterSlot("engine.async_queries");
-    hot_.inlineSolverFallbacks =
-        &stats_.counterSlot("engine.inline_solver_fallbacks");
     solver_.setProfiler(&profiler_);
-
-    if (config_.useFibers) {
-        // Phase spans are per-worker RAII objects; a fiber that parks
-        // inside one and resumes on another worker would close it on
-        // the wrong span stack. Fiber runs are profiled through the
-        // service/overlap counters instead.
-        config_.profileExecution = false;
-    }
 
     if (config_.replayWitness) {
         // Replay mode: one concrete path re-executed serially with the
@@ -268,7 +249,6 @@ Engine::Engine(vm::MachineConfig machine, EngineConfig config)
         // schedule-dependent points); the witness's own terminal
         // instruction count bounds the run via the overrun check.
         config_.numWorkers = 1;
-        config_.useFibers = false;
         config_.emitWitnesses = false;
         config_.enableMergePoints = false;
         config_.maxStatesCreated = 0;
@@ -376,7 +356,8 @@ Engine::deviceBusFor(ExecutionState &state)
         // device is part of the concrete domain).
         ExprRef e = state.mem.byteExpr(addr, builder_);
         uint64_t raw = 0;
-        auto v = pathGetValue(state, builder_.zext(e, 32), &raw);
+        auto v = curSolver().getValue(state.constraints,
+                                      builder_.zext(e, 32), &raw);
         if (v.isUnknown()) {
             solverFailState(state, "dma_read", v,
                             "solver gave up concretizing a DMA read");
@@ -573,7 +554,7 @@ Engine::concretize(ExecutionState &state, const Value &value,
         return value.concrete();
     Stats::bump(concretizationSites_.slot(reason));
     uint64_t raw = 0;
-    auto v = pathGetValue(state, value.expr(), &raw);
+    auto v = curSolver().getValue(state.constraints, value.expr(), &raw);
     if (v.isUnknown()) {
         // A concretization site must produce *a* value; with the
         // solver giving up there is no sound one. Kill the state as a
@@ -755,8 +736,7 @@ Engine::fork(ExecutionState &state, ExprRef condition)
     // half-built state. Park it on the forking *state's* pending list
     // (fork parents are always the currently-executing state, so only
     // the owning worker touches it); the engine flushes at the next
-    // block boundary, after the caller's mutations are complete —
-    // never while the parent is suspended mid-block at a solver site.
+    // block boundary, after the caller's mutations are complete.
     if (queue_) {
         if (tlsWorker_)
             state.pendingChildren.push_back(child_ptr);
@@ -854,7 +834,7 @@ Engine::resolveSymbolicBranch(ExecutionState &state, const Value &cond,
         return taken_pc;
     }
 
-    auto feasibility = pathCheckBranch(state, c);
+    auto feasibility = curSolver().checkBranch(state.constraints, c);
     const auto &ts = feasibility.trueSide;
     const auto &fs = feasibility.falseSide;
 
@@ -921,7 +901,7 @@ Engine::resolveSymbolicBranch(ExecutionState &state, const Value &cond,
     // Both Unknown: fall back to the concrete-evaluated side, like
     // concretization does.
     uint64_t cv = 0;
-    auto pick = pathGetValue(state, c, &cv);
+    auto pick = curSolver().getValue(state.constraints, c, &cv);
     if (pick.isUnknown()) {
         solverFailState(state, "branch", pick,
                         strprintf("solver gave up on both sides of the "
@@ -954,7 +934,7 @@ Engine::symbolicLoad(ExecutionState &state, const Value &addr, unsigned len)
     // pointer into it (the paper's page-content-passing scheme: only
     // a small page of memory is handed to the solver).
     uint64_t example = 0;
-    auto ex = pathGetValue(state, a, &example);
+    auto ex = curSolver().getValue(state.constraints, a, &example);
     if (ex.isUnknown()) {
         solverFailState(state, "symbolic_load", ex,
                         "solver gave up resolving a symbolic load "
@@ -978,7 +958,7 @@ Engine::symbolicLoad(ExecutionState &state, const Value &addr, unsigned len)
     ExprRef hi = builder_.constant(base + window - len, 32);
     ExprRef in_window = builder_.land(builder_.uge(a, lo),
                                       builder_.ule(a, hi));
-    auto must = pathMustBeTrue(state, in_window);
+    auto must = curSolver().mustBeTrue(state.constraints, in_window);
     if (!must.yes()) {
         // Not *proved* inside the window (definite no, or the solver
         // gave up): the soft constraint keeps the ite chain sound
@@ -1331,7 +1311,8 @@ Engine::execS2Op(ExecutionState &state, const MicroOp &op,
         }
         ExprRef nonzero = builder_.ne(v.toExpr(builder_),
                                       builder_.constant(0, 32));
-        auto may_fail = pathMayBeTrue(state, builder_.lnot(nonzero));
+        auto may_fail = curSolver().mayBeTrue(state.constraints,
+                                              builder_.lnot(nonzero));
         if (may_fail.isUnknown()) {
             // Can't decide whether the assert can fail: skip the bug
             // report (no false positives), keep the path alive under
@@ -1345,7 +1326,7 @@ Engine::execS2Op(ExecutionState &state, const MicroOp &op,
                 state,
                 strprintf("s2e_assert may fail at 0x%x", instr_pc));
             auto may_pass =
-                pathMayBeTrue(state, nonzero);
+                curSolver().mayBeTrue(state.constraints, nonzero);
             if (may_pass.isUnknown()) {
                 noteSolverDegraded(state, "assert", may_pass.timedOut);
                 state.addConstraint(nonzero);
@@ -1528,7 +1509,8 @@ Engine::executeBlock(ExecutionState &state)
                     // Unknown here just degrades the report, not the
                     // load itself.
                     uint64_t exv = 0;
-                    auto ex = pathGetValue(state, sum, &exv);
+                    auto ex = curSolver().getValue(state.constraints,
+                                                   sum, &exv);
                     resolved =
                         ex.isSat() ? static_cast<uint32_t>(exv) : 0;
                     if (ex.isUnknown())
@@ -2060,154 +2042,11 @@ Engine::killParkedStates()
     }
 }
 
-// --- Fiber scheduling / async solver ------------------------------------
-
-solver::QueryOutcome
-Engine::pathMayBeTrue(ExecutionState &state, ExprRef e)
-{
-    if (solverService_ && Fiber::current()) {
-        solver::AsyncQuery q;
-        q.kind = solver::AsyncQuery::Kind::MayBeTrue;
-        q.expr = e;
-        awaitQuery(state, q);
-        return q.outcome;
-    }
-    return curSolver().mayBeTrue(state.constraints, e);
-}
-
-solver::QueryOutcome
-Engine::pathMustBeTrue(ExecutionState &state, ExprRef e)
-{
-    if (solverService_ && Fiber::current()) {
-        solver::AsyncQuery q;
-        q.kind = solver::AsyncQuery::Kind::MustBeTrue;
-        q.expr = e;
-        awaitQuery(state, q);
-        return q.outcome;
-    }
-    return curSolver().mustBeTrue(state.constraints, e);
-}
-
-solver::QueryOutcome
-Engine::pathGetValue(ExecutionState &state, ExprRef e, uint64_t *value)
-{
-    if (solverService_ && Fiber::current()) {
-        solver::AsyncQuery q;
-        q.kind = solver::AsyncQuery::Kind::GetValue;
-        q.expr = e;
-        awaitQuery(state, q);
-        *value = q.value;
-        return q.outcome;
-    }
-    return curSolver().getValue(state.constraints, e, value);
-}
-
-solver::Solver::BranchFeasibility
-Engine::pathCheckBranch(ExecutionState &state, ExprRef cond)
-{
-    if (solverService_ && Fiber::current()) {
-        solver::AsyncQuery q;
-        q.kind = solver::AsyncQuery::Kind::CheckBranch;
-        q.expr = cond;
-        awaitQuery(state, q);
-        return q.branch;
-    }
-    return curSolver().checkBranch(state.constraints, cond);
-}
-
-void
-Engine::awaitQuery(ExecutionState &state, solver::AsyncQuery &q)
-{
-    // The descriptor lives on this fiber's stack: valid until resume.
-    q.constraints = &state.constraints;
-    q.ctxSlot = &state.solverCtx;
-    q.token = &state;
-    q.producer = tlsWorker_ ? tlsWorker_->id : 0;
-    state.pendingQuery = &q;
-    state.suspendCount++;
-    // The *driver* (driveFiber) submits after this switch completes —
-    // submitting here would let the service resume a half-saved fiber.
-    Fiber::park();
-    // Resumed (possibly on another worker): results are filled, either
-    // by the service or by the driver's ring-full inline fallback.
-    if (q.batched)
-        Stats::bump(*hot_.batchedQueries);
-}
-
-void
-Engine::fiberSliceBody(ExecutionState &state)
-{
-    // Re-read engine state through `this` only — never cache
-    // tlsWorker_ across a potential park: the fiber may resume on a
-    // different worker mid-slice.
-    uint64_t instr_before = state.instrCount;
-    for (unsigned i = 0; i < config_.timesliceBlocks && state.isActive();
-         ++i) {
-        bool running = executeBlock(state);
-        flushPendingChildren(state);
-        if (!running || state.atMergePoint)
-            break;
-    }
-    Stats::bump(*hot_.instructions, state.instrCount - instr_before);
-}
-
-bool
-Engine::driveFiber(unsigned wid, WorkQueue &queue, ExecutionState &state,
-                   Fiber *fiber)
-{
-    (void)queue; // completions route through queue_ (same queue)
-    while (true) {
-        // tl_executing must cover every resume: a state that kills
-        // *itself* after resuming would otherwise be classified as an
-        // async (schedule-dependent) kill and lose witness
-        // eligibility.
-        executingWorkers_.fetch_add(1, std::memory_order_seq_cst);
-        tl_executing = &state;
-        bool live = fiber->resume();
-        tl_executing = nullptr;
-        executingWorkers_.fetch_sub(1, std::memory_order_seq_cst);
-        if (!live) {
-            // Slice body returned: the state is schedulable (or
-            // terminated) the normal way again.
-            releaseFiber(fiber);
-            return false;
-        }
-        // Parked at a solver choke point. The fiber context is fully
-        // saved now, so the service may complete (and another worker
-        // resume) at any point after the submit below.
-        solver::AsyncQuery *q = state.pendingQuery;
-        S2E_ASSERT(q, "fiber parked without a pending query");
-        state.pendingQuery = nullptr;
-        state.suspendedFiber = fiber;
-        Stats::bump(*hot_.suspends);
-        asyncInFlight_.fetch_add(1, std::memory_order_relaxed);
-        if (solverService_->submit(wid, q)) {
-            Stats::bump(*hot_.asyncQueries);
-            // The service owns the state until its completion put();
-            // this worker must not touch it again.
-            return true;
-        }
-        asyncInFlight_.fetch_sub(1, std::memory_order_relaxed);
-        // Ring full: degrade to the blocking engine for this query —
-        // answer inline on this worker's solver, resume immediately.
-        state.suspendedFiber = nullptr;
-        Stats::bump(*hot_.inlineSolverFallbacks);
-        WorkerContext &w = *workers_[wid];
-        w.solver.bindPathContext(q->ctxSlot);
-        solver::SolverService::executeOn(w.solver, *q);
-        w.solver.bindPathContext(nullptr);
-        Stats::bump(*hot_.resumes);
-    }
-}
-
 void
 Engine::flushPendingChildren(ExecutionState &state)
 {
     if (state.pendingChildren.empty())
         return;
-    // Re-read the worker identity at flush time: after a suspend the
-    // state may be running on a different worker than the one that
-    // forked the children.
     unsigned wid = tlsWorker_ ? tlsWorker_->id : 0;
     for (ExecutionState *child : state.pendingChildren) {
         // Over-cap spill at publish time: the child is fully diverged
@@ -2228,38 +2067,10 @@ Engine::flushPendingChildren(ExecutionState &state)
     state.pendingChildren.clear();
 }
 
-Fiber *
-Engine::acquireFiber()
-{
-    Fiber *fiber = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(fiberPoolMu_);
-        if (!fiberPool_.empty()) {
-            fiber = fiberPool_.back().release();
-            fiberPool_.pop_back();
-        }
-    }
-    if (!fiber)
-        fiber = new Fiber(config_.fiberStackBytes);
-    int live = fibersLive_.fetch_add(1, std::memory_order_relaxed) + 1;
-    Stats::raiseTo(*hot_.fibersActive, static_cast<uint64_t>(live));
-    return fiber;
-}
-
-void
-Engine::releaseFiber(Fiber *fiber)
-{
-    fibersLive_.fetch_sub(1, std::memory_order_relaxed);
-    std::lock_guard<std::mutex> lock(fiberPoolMu_);
-    fiberPool_.push_back(std::unique_ptr<Fiber>(fiber));
-}
-
 RunResult
 Engine::run()
 {
-    // Fibers need the work-queue scheduler even with one worker (the
-    // solver service is what the fiber parks toward).
-    if (config_.numWorkers <= 1 && !config_.useFibers)
+    if (config_.numWorkers <= 1)
         return runSerial();
     return runParallel();
 }
@@ -2374,32 +2185,6 @@ Engine::runParallel()
     stopFlag_.store(false, std::memory_order_relaxed);
     budgetExhaustedFlag_.store(false, std::memory_order_relaxed);
 
-    if (config_.useFibers) {
-        solver::SolverService::Config scfg;
-        scfg.threads = std::max(1u, config_.solverServiceThreads);
-        scfg.workers = n;
-        scfg.queueCapacity = config_.solverQueueCapacity;
-        scfg.batchMax = std::max(1u, config_.solverBatchMax);
-        // Completion: hand the suspended state back to the scheduler
-        // on its submitting worker's shard. queue_ is stable here —
-        // a query is only in flight while its round's workers are
-        // still live (a suspended state keeps the queue's pending
-        // count non-zero), and the submit ring's release/acquire pair
-        // orders this read after the round set queue_.
-        solverService_ = std::make_unique<solver::SolverService>(
-            builder_, config_.solverOptions, scfg,
-            [this](solver::AsyncQuery &q) {
-                queue_->put(q.producer,
-                            static_cast<ExecutionState *>(q.token));
-                // Release pairs with the round's acquire drain: once
-                // this hits zero no service thread is inside the
-                // queue and the round may destroy it.
-                asyncInFlight_.fetch_sub(1, std::memory_order_release);
-            });
-        solverService_->setExecGauge(&executingWorkers_);
-        solverService_->start();
-    }
-
     // Round loop: one worker-pool round drains every runnable state to
     // termination or a merge point. Between rounds every thread has
     // joined — nothing executes, so arrival at each merge pc is
@@ -2422,12 +2207,6 @@ Engine::runParallel()
             });
         for (std::thread &t : threads)
             t.join();
-        // Workers joined ⇒ every state finished ⇒ every completion
-        // already put() its state — but the *last* callback may still
-        // be signaling the queue's condvar. Drain that tail before
-        // `queue` leaves scope.
-        while (asyncInFlight_.load(std::memory_order_acquire) != 0)
-            std::this_thread::yield();
         queue_ = nullptr;
 
         if (budgetExhaustedFlag_.load(std::memory_order_relaxed)) {
@@ -2443,33 +2222,10 @@ Engine::runParallel()
     result.workers = n;
     for (auto &w : workers_) {
         profiler_.mergeFrom(w->profiler);
-        result.workerSolverSeconds += w->solver.totalQuerySeconds();
         solver_.stats().mergeFrom(w->solver.stats());
         result.workerBusySeconds.push_back(w->busySeconds);
     }
     workers_.clear();
-
-    if (solverService_) {
-        solverService_->stop();
-        const auto &ss = solverService_->stats();
-        Stats::raiseTo(*hot_.solverQueueDepth, ss.queueDepthPeak);
-        for (solver::Solver *s : solverService_->solvers())
-            solver_.stats().mergeFrom(s->stats());
-        result.serviceBusySeconds = ss.busySeconds;
-        result.solverOverlapSeconds = ss.overlapSeconds;
-        solverService_.reset();
-        // Fiber stacks are recycled within a run, not across runs.
-        std::lock_guard<std::mutex> lock(fiberPoolMu_);
-        fiberPool_.clear();
-    }
-    result.suspends = Stats::read(*hot_.suspends);
-    result.resumes = Stats::read(*hot_.resumes);
-    result.asyncQueries = Stats::read(*hot_.asyncQueries);
-    result.batchedQueries = Stats::read(*hot_.batchedQueries);
-    result.inlineSolverFallbacks =
-        Stats::read(*hot_.inlineSolverFallbacks);
-    result.fibersPeak = Stats::read(*hot_.fibersActive);
-    result.solverQueueDepthPeak = Stats::read(*hot_.solverQueueDepth);
 
     result.budgetExhausted =
         budgetExhaustedFlag_.load(std::memory_order_relaxed);
@@ -2484,99 +2240,54 @@ Engine::workerLoop(unsigned wid, WorkQueue &queue,
 {
     WorkerContext &w = *workers_[wid];
     tlsWorker_ = &w;
-    // Budget check shared by every completed slice (blocking or
-    // fiber): latches the pool-wide stop flag.
-    auto check_budget = [&] {
-        double elapsed = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() - start)
-                             .count();
-        uint64_t executed = Stats::read(*hot_.instructions) - start_instr;
-        if ((config_.maxWallSeconds > 0 &&
-             elapsed > config_.maxWallSeconds) ||
-            (config_.maxInstructions > 0 &&
-             executed > config_.maxInstructions)) {
-            budgetExhaustedFlag_.store(true, std::memory_order_relaxed);
-            stopFlag_.store(true, std::memory_order_release);
-        }
-    };
     while (ExecutionState *state = queue.take(wid)) {
         auto slice_start = std::chrono::steady_clock::now();
-        if (state->suspendedFiber) {
-            // The solver service answered this state's query and
-            // handed it back: resume the suspended slice where it
-            // parked. Deliberately no stopFlag kill and no spill
-            // restore here — a suspended fiber holds live C++ frames
-            // that must unwind through its own slice end; a fresh
-            // take() applies the budget kill next round.
-            Fiber *fiber = state->suspendedFiber;
-            state->suspendedFiber = nullptr;
-            Stats::bump(*hot_.resumes);
-            bool suspended = driveFiber(wid, queue, *state, fiber);
-            if (suspended) {
-                w.busySeconds +=
-                    std::chrono::duration<double>(
-                        std::chrono::steady_clock::now() - slice_start)
-                        .count();
-                continue; // in the service again; hands off
-            }
-            check_budget();
+        state->lastScheduledTick =
+            scheduleTick_.fetch_add(1, std::memory_order_relaxed) + 1;
+        if (stopFlag_.load(std::memory_order_acquire)) {
+            killState(*state, StateStatus::BudgetExceeded, "run budget");
+        } else if (state->spilled && !restoreState(*state)) {
+            // Restore failed beyond all retries: the state is already
+            // killed with SpillFailure and retires below like any
+            // other terminated state.
         } else {
-            state->lastScheduledTick =
-                scheduleTick_.fetch_add(1, std::memory_order_relaxed) +
-                1;
-            if (stopFlag_.load(std::memory_order_acquire)) {
-                killState(*state, StateStatus::BudgetExceeded,
-                          "run budget");
-            } else if (state->spilled && !restoreState(*state)) {
-                // Restore failed beyond all retries: the state is
-                // already killed with SpillFailure and retires below
-                // like any other terminated state.
-            } else if (solverService_) {
-                // Fiber slice: the timeslice body runs on its own
-                // suspendable stack; choke-point queries park it and
-                // free this worker. The worker solver stays unbound —
-                // queries go through the service (or bind around the
-                // inline fallback).
-                Fiber *fiber = acquireFiber();
-                fiber->reset([this, state] { fiberSliceBody(*state); });
-                bool suspended = driveFiber(wid, queue, *state, fiber);
-                if (suspended) {
-                    w.busySeconds +=
-                        std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() -
-                            slice_start)
-                            .count();
-                    continue; // the service owns the state now
-                }
-                check_budget();
-            } else {
-                // Bind the state's incremental-context slot to this
-                // worker's solver for the slice. Unbinding before the
-                // state is re-queued matters: once put back, another
-                // worker may steal the state (and the context with
-                // it).
-                w.solver.bindPathContext(&state->solverCtx);
-                tl_executing = state;
-                uint64_t instr_before = state->instrCount;
-                for (unsigned i = 0;
-                     i < config_.timesliceBlocks && state->isActive();
-                     ++i) {
-                    // Children forked during a block become runnable
-                    // only from the next block boundary on (their
-                    // setup completes after fork() returns).
-                    // Publishing before finish() below keeps the
-                    // queue's pending count from hitting zero while
-                    // an unpublished child exists.
-                    bool running = executeBlock(*state);
-                    flushPendingChildren(*state);
-                    if (!running || state->atMergePoint)
-                        break;
-                }
-                tl_executing = nullptr;
-                w.solver.bindPathContext(nullptr);
-                Stats::bump(*hot_.instructions,
-                            state->instrCount - instr_before);
-                check_budget();
+            // Bind the state's incremental-context slot to this worker's
+            // solver for the slice. Unbinding before the state is
+            // re-queued matters: once put back, another worker may
+            // steal the state (and the context with it).
+            w.solver.bindPathContext(&state->solverCtx);
+            tl_executing = state;
+            uint64_t instr_before = state->instrCount;
+            for (unsigned i = 0;
+                 i < config_.timesliceBlocks && state->isActive(); ++i) {
+                // Children forked during a block become runnable only
+                // from the next block boundary on (their setup
+                // completes after fork() returns). Publishing before
+                // finish() below keeps the queue's pending count from
+                // hitting zero while an unpublished child exists.
+                bool running = executeBlock(*state);
+                flushPendingChildren(*state);
+                if (!running || state->atMergePoint)
+                    break;
+            }
+            tl_executing = nullptr;
+            w.solver.bindPathContext(nullptr);
+            Stats::bump(*hot_.instructions,
+                        state->instrCount - instr_before);
+
+            // Budget check after every completed slice: latches the
+            // pool-wide stop flag.
+            double elapsed = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - start)
+                                 .count();
+            uint64_t executed =
+                Stats::read(*hot_.instructions) - start_instr;
+            if ((config_.maxWallSeconds > 0 &&
+                 elapsed > config_.maxWallSeconds) ||
+                (config_.maxInstructions > 0 &&
+                 executed > config_.maxInstructions)) {
+                budgetExhaustedFlag_.store(true, std::memory_order_relaxed);
+                stopFlag_.store(true, std::memory_order_release);
             }
         }
         accountStateMemory(*state);
@@ -2621,13 +2332,6 @@ Engine::finalizeResult(RunResult &result,
     result.wallSeconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
-    if (result.serviceBusySeconds > 0)
-        result.solverOverlapRatio =
-            result.solverOverlapSeconds / result.serviceBusySeconds;
-    if (result.wallSeconds > 0)
-        result.suspendResumePerSec =
-            static_cast<double>(result.suspends + result.resumes) /
-            result.wallSeconds;
     profiler_.flushTo(stats_, "engine.phase");
     result.totalInstructions =
         Stats::read(*hot_.instructions) - start_instr;

@@ -33,14 +33,7 @@
 #include "solver/solver.hh"
 #include "vm/machine.hh"
 
-namespace s2e::solver {
-class SolverService;
-struct AsyncQuery;
-}
-
 namespace s2e::core {
-
-class Fiber;
 
 namespace lifecycle {
 class StateSerializer;
@@ -98,38 +91,6 @@ struct EngineConfig {
      * differs.
      */
     unsigned numWorkers = 1;
-
-    // --- Fiber scheduler (async solver offload) -----------------------
-
-    /**
-     * Run every state timeslice on a suspendable stackful fiber and
-     * answer solver choke points (checkBranch / getValue / getRange /
-     * mayBeTrue / mustBeTrue) through the asynchronous SolverService:
-     * the fiber parks at the query, the worker immediately executes
-     * other states, and the state is rescheduled once the service has
-     * the answer. Path results are identical to the blocking engine
-     * (see tests/test_fiber.cc); only scheduling overlap changes.
-     * Forced off in replay mode (which is strictly serial).
-     */
-    bool useFibers = false;
-
-    /** Solver-service threads draining the per-worker query rings. */
-    unsigned solverServiceThreads = 1;
-
-    /** Per-worker query-ring capacity (rounded up to a power of two).
-     *  A full ring degrades gracefully: the query runs inline on the
-     *  worker, exactly like the blocking engine. */
-    size_t solverQueueCapacity = 64;
-
-    /** Max queries one service thread drains into a batch; queries in
-     *  a batch that share a constraint prefix are answered inside one
-     *  shared incremental context. */
-    unsigned solverBatchMax = 16;
-
-    /** Stack bytes per fiber (rounded up to whole pages; fibers are
-     *  pooled, so peak live fibers — not total states — bound the
-     *  mapped memory). */
-    size_t fiberStackBytes = 256 * 1024;
 
     /** Record the phase-time breakdown (translate / concrete /
      *  symbolic / solver / fork). The compile-time default follows
@@ -251,37 +212,6 @@ struct RunResult {
      *  queue); workerBusySeconds[i] / wallSeconds is worker i's
      *  utilization. Empty for serial runs. */
     std::vector<double> workerBusySeconds;
-
-    // --- Fiber scheduler telemetry (zero unless useFibers) ------------
-
-    /** Fiber parks at solver choke points / resumes after answers. */
-    uint64_t suspends = 0;
-    uint64_t resumes = 0;
-    /** Queries submitted to the async solver service. */
-    uint64_t asyncQueries = 0;
-    /** Of those, answered inside a shared sibling-batch context. */
-    uint64_t batchedQueries = 0;
-    /** Queries answered inline on the worker because its ring was
-     *  full (the graceful-degradation path). */
-    uint64_t inlineSolverFallbacks = 0;
-    /** Peak simultaneously live fibers (= peak suspended + running). */
-    uint64_t fibersPeak = 0;
-    /** Peak queries waiting in one service lane's rings. */
-    uint64_t solverQueueDepthPeak = 0;
-    /** Wall-clock the service threads spent inside the solver, and
-     *  the share of it during which ≥1 worker was executing guest
-     *  code. overlapRatio = overlap/busy; identically 0 for the
-     *  blocking engine, > 0 is execution the fibers reclaimed. */
-    double serviceBusySeconds = 0;
-    double solverOverlapSeconds = 0;
-    double solverOverlapRatio = 0;
-    /** Suspend+resume transitions per wall second (fiber switch
-     *  traffic; a cheap-context sanity metric). */
-    double suspendResumePerSec = 0;
-    /** Wall-clock the *worker* solvers spent answering queries —
-     *  with fibers on, only the inline-fallback residue. 1 − this/Σ
-     *  busy is the worker exec-utilization the benches report. */
-    double workerSolverSeconds = 0;
 };
 
 /**
@@ -297,7 +227,11 @@ class Engine
     Engine &operator=(const Engine &) = delete;
 
     ExprBuilder &builder() { return builder_; }
-    solver::Solver &solver() { return solver_; }
+    /** The calling thread's solver: a worker's own while it runs a
+     *  state in a parallel run (plugins query from worker threads, and
+     *  one Solver must never be shared between threads), the
+     *  engine-level one otherwise. */
+    solver::Solver &solver() { return curSolver(); }
     EventHub &events() { return events_; }
     Stats &stats() { return stats_; }
     obs::PhaseProfiler &profiler() { return profiler_; }
@@ -472,40 +406,9 @@ class Engine
     /** Fork the state on `condition`; parent takes the true side. */
     ExecutionState *fork(ExecutionState &state, ExprRef condition);
 
-    // --- Fiber scheduling / async solver ------------------------------
-    //
-    // The path* helpers are the engine's solver choke points: on the
-    // blocking engine they call curSolver() directly; under useFibers
-    // (inside a fiber slice) they build an AsyncQuery on the fiber's
-    // stack, park, and return the service's answer after resume.
-
-    solver::QueryOutcome pathMayBeTrue(ExecutionState &state, ExprRef e);
-    solver::QueryOutcome pathMustBeTrue(ExecutionState &state, ExprRef e);
-    solver::QueryOutcome pathGetValue(ExecutionState &state, ExprRef e,
-                                      uint64_t *value);
-    solver::Solver::BranchFeasibility pathCheckBranch(ExecutionState &state,
-                                                      ExprRef cond);
-
-    /** Park the current fiber on `q`; the driver submits it after the
-     *  switch so the service can never resume a half-saved context. */
-    void awaitQuery(ExecutionState &state, solver::AsyncQuery &q);
-
-    /** One timeslice of `state`, run inside its fiber. */
-    void fiberSliceBody(ExecutionState &state);
-
-    /** Resume/run `state`'s fiber until it parks again or the slice
-     *  ends; returns true when the state is suspended in the solver
-     *  service (the caller must NOT touch it further). */
-    bool driveFiber(unsigned worker_id, WorkQueue &queue,
-                    ExecutionState &state, Fiber *fiber);
-
     /** Publish children forked during the last block(s) to the work
-     *  queue. Called at block boundaries and after each slice — never
-     *  while their parent is suspended mid-block. */
+     *  queue. Called at block boundaries and after each slice. */
     void flushPendingChildren(ExecutionState &state);
-
-    Fiber *acquireFiber();
-    void releaseFiber(Fiber *fiber);
 
     /** A must-answer solver query returned Unknown: kill the state
      *  with StateStatus::SolverFailure (never misreport as Unsat). */
@@ -640,13 +543,6 @@ class Engine
         uint64_t *witnessExtractFailures = nullptr;
         uint64_t *witnessesSkipped = nullptr;
         uint64_t *replayDivergences = nullptr;
-        uint64_t *fibersActive = nullptr;
-        uint64_t *solverQueueDepth = nullptr;
-        uint64_t *batchedQueries = nullptr;
-        uint64_t *suspends = nullptr;
-        uint64_t *resumes = nullptr;
-        uint64_t *asyncQueries = nullptr;
-        uint64_t *inlineSolverFallbacks = nullptr;
     } hot_;
     SiteCounterCache concretizationSites_;
     SiteCounterCache degradeSites_;
@@ -676,23 +572,6 @@ class Engine
     std::atomic<bool> budgetExhaustedFlag_{false};
     /** Sum of live states' accounted footprints (both loops). */
     std::atomic<uint64_t> currentMemBytes_{0};
-
-    // Fiber-scheduler machinery (null/zero unless useFibers).
-    std::unique_ptr<solver::SolverService> solverService_;
-    /** Recycled fiber stacks; a fiber leaves the pool while a state
-     *  slice (possibly suspended) owns it. */
-    std::vector<std::unique_ptr<Fiber>> fiberPool_;
-    std::mutex fiberPoolMu_;
-    /** Fibers currently out of the pool (live slices + parked). */
-    std::atomic<int> fibersLive_{0};
-    /** Workers currently executing guest code (the overlap gauge the
-     *  solver service samples). */
-    std::atomic<int> executingWorkers_{0};
-    /** Queries submitted to the service whose completion callback has
-     *  not fully returned. A round's WorkQueue may only be destroyed
-     *  at zero: the callback's put() can still be signaling the
-     *  queue's condvar after the resumed state already finished. */
-    std::atomic<uint64_t> asyncInFlight_{0};
 
     // State-lifecycle machinery.
     std::unique_ptr<lifecycle::StateSerializer> serializer_;

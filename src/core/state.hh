@@ -25,7 +25,6 @@
 
 namespace s2e::solver {
 class IncrementalContext;
-struct AsyncQuery;
 }
 
 namespace s2e::core::lifecycle {
@@ -33,8 +32,6 @@ struct Checkpoint;
 }
 
 namespace s2e::core {
-
-class Fiber;
 
 /** CPU register file and execution flags for one path. */
 struct CpuState {
@@ -176,26 +173,11 @@ class ExecutionState
     /** How many sibling paths were ITE-merged into this one. */
     uint32_t mergedSiblings = 0;
 
-    // --- Fiber scheduling (transient; never cloned, never spilled) ----
-
-    /**
-     * The suspended timeslice fiber while the state is parked at a
-     * solver choke point (null whenever the state is schedulable the
-     * normal way). A worker taking the state resumes this instead of
-     * starting a fresh slice. Ownership travels with the state.
-     */
-    Fiber *suspendedFiber = nullptr;
-    /** The query the fiber parked on; lives on the fiber's stack, so
-     *  it is valid exactly while suspendedFiber is set. */
-    solver::AsyncQuery *pendingQuery = nullptr;
-    /** Children forked during the current block, fully constructed
-     *  only once the forking call returns; the engine publishes them
-     *  to the work queue at block boundaries (never while this state
-     *  is suspended mid-block). */
+    /** Children forked during the current block (transient; never
+     *  cloned, never spilled). They are fully constructed only once
+     *  the forking call returns, so the engine publishes them to the
+     *  work queue at the next block boundary. */
     std::vector<ExecutionState *> pendingChildren;
-    /** Times this path's slice parked at a solver site (telemetry and
-     *  the witness-eligibility regression tests). */
-    uint32_t suspendCount = 0;
 
     /** Per-state virtual clock, in executed guest instructions. It
      *  freezes while the state is not scheduled (paper §5). */

@@ -11,10 +11,7 @@
  * Ownership protocol: a state is either queued here or being executed
  * by exactly one worker; only that worker may touch the state's
  * mutable fields. The shard mutexes double as the release/acquire
- * edge that publishes all writes the previous owner made. (With the
- * fiber scheduler a suspended state counts as "held": the worker that
- * parked it hands it to the solver service, which put()s it back —
- * the SPSC ring and the shard mutex form the same publication chain.)
+ * edge that publishes all writes the previous owner made.
  *
  * Termination: `pending` counts states that are queued or held by a
  * worker. take() returns nullptr only when pending reaches zero, i.e.
@@ -26,8 +23,7 @@
  * either landed before the snapshot (the scan finds it — the push
  * writes the shard before bumping the epoch) or after (the epoch
  * moved and the predicate refuses to sleep). Blocked workers
- * genuinely sleep — no timed polling — which is what lets a worker
- * whose states are all parked in the solver service idle for free.
+ * genuinely sleep — no timed polling.
  * Pushes take the wait mutex only when a sleeper exists (seq_cst
  * fences on the epoch bump and the waiter count close the classic
  * flag/flag race), so the hot fork path is two uncontended atomics
@@ -69,8 +65,7 @@ class WorkQueue
         pushBack(worker, state);
     }
 
-    /** Re-queue a still-active state after a timeslice (also how the
-     *  solver service hands a resumed state back). */
+    /** Re-queue a still-active state after a timeslice. */
     void
     put(unsigned worker, ExecutionState *state)
     {

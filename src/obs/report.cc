@@ -100,19 +100,6 @@ RunReport::toJson() const
         for (double busy : run_.workerBusySeconds)
             w.value(wallSeconds_ > 0 ? busy / wallSeconds_ : 0.0);
         w.endArray();
-        // Fiber scheduler telemetry (all zero on the blocking engine).
-        w.field("suspends", run_.suspends);
-        w.field("resumes", run_.resumes);
-        w.field("async_queries", run_.asyncQueries);
-        w.field("batched_queries", run_.batchedQueries);
-        w.field("inline_solver_fallbacks", run_.inlineSolverFallbacks);
-        w.field("fibers_peak", run_.fibersPeak);
-        w.field("solver_queue_depth_peak", run_.solverQueueDepthPeak);
-        w.field("service_busy_seconds", run_.serviceBusySeconds);
-        w.field("solver_overlap_seconds", run_.solverOverlapSeconds);
-        w.field("solver_overlap_ratio", run_.solverOverlapRatio);
-        w.field("suspend_resume_per_sec", run_.suspendResumePerSec);
-        w.field("worker_solver_seconds", run_.workerSolverSeconds);
         w.endObject();
     }
 

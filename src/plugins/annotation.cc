@@ -15,7 +15,10 @@ Annotation::Annotation(Engine &engine) : Plugin(engine)
             auto range = callbacks_.equal_range(pc);
             if (range.first == range.second)
                 return;
-            hits_[pc]++;
+            {
+                std::lock_guard<std::mutex> lock(mu_);
+                hits_[pc]++;
+            }
             for (auto it = range.first; it != range.second; ++it)
                 it->second(state, engine_);
         });

@@ -13,6 +13,7 @@
 
 #include <functional>
 #include <map>
+#include <mutex>
 
 #include "plugins/plugin.hh"
 
@@ -38,12 +39,16 @@ class Annotation : public Plugin
 
     uint64_t hitCount(uint32_t pc) const
     {
+        std::lock_guard<std::mutex> lock(mu_);
         auto it = hits_.find(pc);
         return it == hits_.end() ? 0 : it->second;
     }
 
   private:
     std::multimap<uint32_t, Callback> callbacks_;
+    // Workers of a parallel run count hits concurrently; the mutex
+    // guards hits_ (callbacks_ is read-only once exploration starts).
+    mutable std::mutex mu_;
     std::map<uint32_t, uint64_t> hits_;
 };
 

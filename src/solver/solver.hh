@@ -251,15 +251,6 @@ class Solver
     /** Queries issued since construction / the last setFaultPolicy. */
     uint64_t queryCount() const { return queryCounter_; }
 
-    /** Cumulative wall-clock seconds this solver spent answering
-     *  queries (the "solver.time" stat) — what the fiber scheduler
-     *  moves off the worker threads. */
-    double
-    totalQuerySeconds() const
-    {
-        return hot_.time ? *hot_.time : 0.0;
-    }
-
     Stats &stats() { return stats_; }
     const SolverOptions &options() const { return opts_; }
 

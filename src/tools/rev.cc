@@ -47,7 +47,6 @@ Rev::Rev(RevConfig config)
     engine_config.maxWallSeconds = config_.maxWallSeconds;
     engine_config.maxStatesCreated = config_.maxStates;
     engine_config.numWorkers = config_.numWorkers;
-    engine_config.useFibers = config_.useFibers;
     engine_config.emitWitnesses = config_.emitWitnesses;
     engine_config.witnessDir = config_.witnessDir;
     engine_config.replayWitness = config_.replayWitness;

@@ -42,9 +42,6 @@ struct RevConfig {
     uint64_t stagnationBlocks = 20'000;
     /** Exploration worker threads (EngineConfig::numWorkers). */
     unsigned numWorkers = 1;
-    /** Fiber-per-state scheduling with the async batched solver
-     *  service (EngineConfig::useFibers). */
-    bool useFibers = false;
     /** Extract a replay witness for every eligible terminated path. */
     bool emitWitnesses = false;
     /** Optional witness output directory (EngineConfig::witnessDir). */

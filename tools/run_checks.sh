@@ -8,21 +8,20 @@
 #                                lifecycle), `ctest -L absint` (static
 #                                value analysis vs the solver oracle) and
 #                                `ctest -L replay` (record/replay witness
-#                                oracle: solver-free replay differentials)
-#                                and `ctest -L fiber` (fiber scheduler:
-#                                park/resume units, WorkQueue idle-wait,
-#                                solver-service batching and the
-#                                serial-vs-fiber engine differential)
+#                                oracle: solver-free replay differentials);
+#                                the WorkQueue idle-wait tests run under
+#                                the parallel label
 #   2. an AddressSanitizer build — `ctest -L sanitize` under build-asan/
 #                                (solver + engine resilience paths and the
 #                                lifecycle suite's exactly-once resource
-#                                release: solver contexts and spill files)
-#                                plus `ctest -L replay` there
+#                                release: solver contexts and spill files,
+#                                and the WorkQueue idle-wait tests) plus
+#                                `ctest -L replay` there
 #   3. a ThreadSanitizer build — `ctest -L tsan` under build-tsan/
-#                                (parallel, incremental, lifecycle and
-#                                fiber suites and the expression
-#                                builder's concurrent-intern tests all
-#                                carry the tsan label)
+#                                (parallel, incremental, lifecycle,
+#                                replay and WorkQueue suites and the
+#                                expression builder's concurrent-intern
+#                                tests all carry the tsan label)
 # Also gates clang-tidy (zero warnings over src/expr and src/solver,
 # skipped when clang-tidy is not installed) and diffs a fresh
 # bench_fork_storm report against the committed baseline: missing
@@ -47,7 +46,7 @@ asan_dir=${3:-"$repo_root/build-asan"}
 jobs=$(nproc 2>/dev/null || echo 2)
 
 check_targets="test_parallel test_incremental test_lifecycle test_absint \
-test_replay test_fiber test_expr"
+test_replay test_workqueue test_expr"
 
 status=0
 
@@ -62,7 +61,6 @@ cmake --build "$build_dir" -j "$jobs" \
 (cd "$build_dir" && ctest -L lifecycle --output-on-failure) || status=1
 (cd "$build_dir" && ctest -L absint --output-on-failure) || status=1
 (cd "$build_dir" && ctest -L replay --output-on-failure) || status=1
-(cd "$build_dir" && ctest -L fiber --output-on-failure) || status=1
 
 echo "== run_checks: clang-tidy gate (src/expr, src/solver) =="
 # Zero-warning gate over the expression and solver layers (the static
@@ -76,11 +74,10 @@ if [ ! -f "$asan_dir/CMakeCache.txt" ]; then
 fi
 cmake --build "$asan_dir" -j "$jobs" \
     --target test_sat test_solver test_engine test_lifecycle \
-    test_replay test_fiber || exit 1
+    test_replay test_workqueue || exit 1
 (cd "$asan_dir" && ctest -L sanitize --output-on-failure) || status=1
 (cd "$asan_dir" && ctest -L lifecycle --output-on-failure) || status=1
 (cd "$asan_dir" && ctest -L replay --output-on-failure) || status=1
-(cd "$asan_dir" && ctest -L fiber --output-on-failure) || status=1
 
 echo "== run_checks: ThreadSanitizer configuration ($tsan_dir) =="
 if [ ! -f "$tsan_dir/CMakeCache.txt" ]; then
@@ -94,8 +91,7 @@ cmake --build "$tsan_dir" -j "$jobs" \
 # Bench diff: regenerate each benched report and compare it against
 # its committed baseline. Metric *presence* is a hard gate — a counter
 # gone from the fresh report (bench_diff exit 2) means someone broke
-# the metric wiring (this covers the fiber scheduler's overlap and
-# utilization metrics too). Magnitude regressions (exit 1) stay
+# the metric wiring. Magnitude regressions (exit 1) stay
 # advisory: wall-clock metrics are noisy on shared machines.
 if command -v python3 >/dev/null 2>&1; then
     for bench in bench_fork_storm bench_fig6_coverage_time; do
