@@ -1699,8 +1699,8 @@ Engine::maybeEmitWitness(ExecutionState &state)
         Stats::bump(*hot_.witnessesSkipped);
         return;
     }
-    replay::ExtractResult r =
-        replay::extractWitness(state, builder_, config_.solverOptions);
+    replay::ExtractResult r = replay::extractWitness(
+        state, builder_, config_.solverOptions, &curProfiler());
     if (!r.witness) {
         Stats::bump(*hot_.witnessExtractFailures);
         warn("witness extraction failed for path %s: %s",

@@ -40,7 +40,8 @@ varWidth(SiteKind kind)
 
 ExtractResult
 extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
-               const solver::SolverOptions &baseOptions)
+               const solver::SolverOptions &baseOptions,
+               obs::PhaseProfiler *profiler)
 {
     ExtractResult out;
 
@@ -78,6 +79,7 @@ extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
     opts.useModelCache = false;
     opts.useIncremental = false;
     solver::Solver solver(builder, opts);
+    solver.setProfiler(profiler);
 
     expr::Assignment model;
     if (!state.constraints.empty()) {

@@ -14,6 +14,9 @@
 namespace s2e::expr {
 class ExprBuilder;
 }
+namespace s2e::obs {
+class PhaseProfiler;
+}
 namespace s2e::solver {
 struct SolverOptions;
 }
@@ -43,10 +46,14 @@ struct ExtractResult {
  * under the model-augmented constraints, never defaulted to zero.
  * The completed assignment is validated by concretely evaluating
  * every path constraint; any violation fails the extraction.
+ *
+ * The fresh solver's queries are charged to the Solver phase of
+ * `profiler` (the calling worker's; null charges nothing).
  */
 ExtractResult extractWitness(const ExecutionState &state,
                              expr::ExprBuilder &builder,
-                             const solver::SolverOptions &baseOptions);
+                             const solver::SolverOptions &baseOptions,
+                             obs::PhaseProfiler *profiler);
 
 } // namespace replay
 } // namespace s2e::core

@@ -9,6 +9,51 @@ using expr::Kind;
 using sat::litNot;
 using sat::mkLit;
 
+uint64_t
+BitBlaster::GateTable::hash(const GateKey &k)
+{
+    // Literals and ops are non-negative. The splitmix64 finalizer
+    // spreads the small, dense literal numbers over the low bits the
+    // table indexes by.
+    auto u = [](int32_t v) { return static_cast<uint64_t>(v); };
+    uint64_t h = (u(k.a) << 32 | u(k.b)) ^
+                 (u(k.c) << 2 | u(k.op)) * 0x9e3779b97f4a7c15ULL;
+    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
+    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
+    return h ^ (h >> 31);
+}
+
+Lit &
+BitBlaster::GateTable::findOrClaim(const GateKey &key)
+{
+    if ((used_ + 1) * 4 > slots_.size() * 3)
+        grow();
+    size_t mask = slots_.size() - 1;
+    size_t i = hash(key) & mask;
+    for (; slots_[i].key.op != kEmptyOp; i = (i + 1) & mask)
+        if (slots_[i].key == key)
+            return slots_[i].out;
+    used_++;
+    slots_[i].key = key;
+    return slots_[i].out;
+}
+
+void
+BitBlaster::GateTable::grow()
+{
+    std::vector<Slot> grown(slots_.empty() ? 256 : slots_.size() * 2);
+    size_t mask = grown.size() - 1;
+    for (const Slot &s : slots_) {
+        if (s.key.op == kEmptyOp)
+            continue;
+        size_t j = hash(s.key) & mask;
+        while (grown[j].key.op != kEmptyOp)
+            j = (j + 1) & mask;
+        grown[j] = s;
+    }
+    slots_.swap(grown);
+}
+
 BitBlaster::BitBlaster(SatSolver &sat) : sat_(sat)
 {
     litTrue_ = mkLit(sat_.newVar());
@@ -34,16 +79,16 @@ BitBlaster::mkAnd(Lit a, Lit b)
         return constLit(false);
     if (b < a)
         std::swap(a, b);
-    GateKey key{0, a, b, 0};
-    auto it = gateCache_.find(key);
-    if (it != gateCache_.end())
-        return it->second;
-    Lit out = freshLit();
+    // Building the gate below never touches gateCache_, so `out`
+    // stays a valid reference into it.
+    Lit &out = gateCache_.findOrClaim({0, a, b, 0});
+    if (out >= 0)
+        return out;
+    out = freshLit();
     gates_++;
     sat_.addClause(litNot(out), a);
     sat_.addClause(litNot(out), b);
     sat_.addClause(out, litNot(a), litNot(b));
-    gateCache_[key] = out;
     return out;
 }
 
@@ -76,19 +121,14 @@ BitBlaster::mkXor(Lit a, Lit b)
     }
     if (b < a)
         std::swap(a, b);
-    GateKey key{1, a, b, 0};
-    auto it = gateCache_.find(key);
-    Lit out;
-    if (it != gateCache_.end()) {
-        out = it->second;
-    } else {
+    Lit &out = gateCache_.findOrClaim({1, a, b, 0});
+    if (out < 0) {
         out = freshLit();
         gates_++;
         sat_.addClause(litNot(out), a, b);
         sat_.addClause(litNot(out), litNot(a), litNot(b));
         sat_.addClause(out, litNot(a), b);
         sat_.addClause(out, a, litNot(b));
-        gateCache_[key] = out;
     }
     return flip ? litNot(out) : out;
 }
@@ -105,17 +145,15 @@ BitBlaster::mkMux(Lit c, Lit t, Lit f)
     // c ? !f : f  ==  c XOR f
     if (t == litNot(f))
         return mkXor(c, f);
-    GateKey key{2, c, t, f};
-    auto it = gateCache_.find(key);
-    if (it != gateCache_.end())
-        return it->second;
-    Lit out = freshLit();
+    Lit &out = gateCache_.findOrClaim({2, c, t, f});
+    if (out >= 0)
+        return out;
+    out = freshLit();
     gates_++;
     sat_.addClause(litNot(c), litNot(t), out);
     sat_.addClause(litNot(c), t, litNot(out));
     sat_.addClause(c, litNot(f), out);
     sat_.addClause(c, f, litNot(out));
-    gateCache_[key] = out;
     return out;
 }
 

@@ -97,25 +97,40 @@ class BitBlaster
     uint64_t gates_ = 0;
 
     struct GateKey {
-        int op;
+        int op; ///< kEmptyOp marks a free GateTable slot
         Lit a, b, c;
-        bool operator==(const GateKey &o) const
-        {
-            return op == o.op && a == o.a && b == o.b && c == o.c;
-        }
+        bool operator==(const GateKey &o) const = default;
     };
-    struct GateKeyHash {
-        size_t
-        operator()(const GateKey &k) const
-        {
-            uint64_t h = k.op;
-            h = h * 0x100000001b3ULL ^ static_cast<uint32_t>(k.a);
-            h = h * 0x100000001b3ULL ^ static_cast<uint32_t>(k.b);
-            h = h * 0x100000001b3ULL ^ static_cast<uint32_t>(k.c);
-            return h;
-        }
+
+    /**
+     * Structural gate hash: linear probing over a power-of-two array
+     * of {key, output} slots, doubled above 3/4 load. Slots are never
+     * removed.
+     */
+    class GateTable
+    {
+      public:
+        /**
+         * The output literal cached for `key`, or, if there is none, a
+         * newly claimed slot holding -1 for the caller to fill in. The
+         * reference stays valid until the next call.
+         */
+        Lit &findOrClaim(const GateKey &key);
+
+      private:
+        static constexpr int kEmptyOp = -1;
+        struct Slot {
+            GateKey key{kEmptyOp, 0, 0, 0};
+            Lit out = -1;
+        };
+
+        static uint64_t hash(const GateKey &k);
+        void grow();
+
+        std::vector<Slot> slots_;
+        size_t used_ = 0;
     };
-    std::unordered_map<GateKey, Lit, GateKeyHash> gateCache_;
+    GateTable gateCache_;
 };
 
 } // namespace s2e::solver

@@ -3,19 +3,72 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstring>
+#include <new>
 
 #include "support/logging.hh"
 
 namespace s2e::sat {
 
+void *
+SatSolver::ClauseArena::allocate(size_t bytes)
+{
+    constexpr size_t kFirstChunk = 4096;
+    constexpr size_t kMaxChunk = 64 * 1024;
+    // Clause blocks are whole numbers of 4-byte words, so every block
+    // stays aligned for its header.
+    static_assert(alignof(Clause) <= alignof(Lit) &&
+                  sizeof(Clause) % alignof(Lit) == 0);
+    if (bytes > left_) {
+        size_t grown = kFirstChunk << std::min<size_t>(chunks_.size(), 4);
+        size_t chunk = std::max(bytes, std::min(grown, kMaxChunk));
+        chunks_.push_back(std::make_unique_for_overwrite<std::byte[]>(chunk));
+        next_ = chunks_.back().get();
+        left_ = chunk;
+    }
+    void *p = next_;
+    next_ += bytes;
+    left_ -= bytes;
+    return p;
+}
+
+SatSolver::WatchList::WatchList(WatchList &&o) noexcept
+    : size_(o.size_), cap_(o.cap_)
+{
+    if (cap_ > kInline) {
+        heap_ = o.heap_;
+        o.cap_ = kInline;
+        o.size_ = 0;
+    } else {
+        std::copy(o.inline_, o.inline_ + size_, inline_);
+    }
+}
+
+SatSolver::WatchList::~WatchList()
+{
+    if (cap_ > kInline)
+        delete[] heap_;
+}
+
+void
+SatSolver::WatchList::grow()
+{
+    uint32_t cap = cap_ * 2;
+    auto *grown = new Watcher[cap];
+    std::copy(data(), data() + size_, grown);
+    if (cap_ > kInline)
+        delete[] heap_;
+    heap_ = grown;
+    cap_ = cap;
+}
+
 SatSolver::SatSolver() = default;
 
 SatSolver::~SatSolver()
 {
-    for (Clause *c : clauses_)
-        delete c;
+    // Problem clauses go with arena_.
     for (Clause *c : learnts_)
-        delete c;
+        ::operator delete(c);
 }
 
 Var
@@ -36,19 +89,26 @@ SatSolver::newVar()
 }
 
 bool
-SatSolver::addClause(const std::vector<Lit> &lits_in)
+SatSolver::addClause(const std::vector<Lit> &lits)
+{
+    addTmp_.assign(lits.begin(), lits.end());
+    return addClauseInPlace(addTmp_.data(), addTmp_.size());
+}
+
+bool
+SatSolver::addClauseInPlace(Lit *lits, size_t n)
 {
     S2E_ASSERT(decisionLevel() == 0, "addClause above root level");
     if (!ok_)
         return false;
 
     // Sort, dedupe, drop false literals, detect tautologies and
-    // satisfied clauses.
-    std::vector<Lit> lits(lits_in);
-    std::sort(lits.begin(), lits.end());
-    std::vector<Lit> out;
+    // satisfied clauses; the kept literals are compacted to the front.
+    std::sort(lits, lits + n);
+    size_t kept = 0;
     Lit prev = -1;
-    for (Lit l : lits) {
+    for (size_t i = 0; i < n; ++i) {
+        Lit l = lits[i];
         S2E_ASSERT(litVar(l) < numVars(), "clause uses unknown var");
         if (l == prev)
             continue;
@@ -59,16 +119,16 @@ SatSolver::addClause(const std::vector<Lit> &lits_in)
             return true; // already satisfied at root
         if (v == LBool::False)
             continue; // root-false literal: drop
-        out.push_back(l);
+        lits[kept++] = l;
         prev = l;
     }
 
-    if (out.empty()) {
+    if (kept == 0) {
         ok_ = false;
         return false;
     }
-    if (out.size() == 1) {
-        enqueue(out[0], nullptr);
+    if (kept == 1) {
+        enqueue(lits[0], nullptr);
         if (propagate() != nullptr) {
             ok_ = false;
             return false;
@@ -76,19 +136,30 @@ SatSolver::addClause(const std::vector<Lit> &lits_in)
         return true;
     }
 
-    Clause *c = new Clause();
-    c->lits = std::move(out);
+    Clause *c = newClause(arena_.allocate(Clause::bytes(kept)), lits, kept,
+                          false);
     clauses_.push_back(c);
     attachClause(c);
     return true;
 }
 
+SatSolver::Clause *
+SatSolver::newClause(void *mem, const Lit *lits, size_t n, bool learnt)
+{
+    auto *c = new (mem) Clause;
+    c->activity = 0;
+    c->learnt = learnt;
+    c->size = static_cast<uint32_t>(n);
+    std::memcpy(c->begin(), lits, n * sizeof(Lit));
+    return c;
+}
+
 void
 SatSolver::attachClause(Clause *c)
 {
-    S2E_ASSERT(c->lits.size() >= 2, "attach of short clause");
-    watches_[litNot(c->lits[0])].push_back({c, c->lits[1]});
-    watches_[litNot(c->lits[1])].push_back({c, c->lits[0]});
+    S2E_ASSERT(c->size >= 2, "attach of short clause");
+    watches_[litNot((*c)[0])].push_back({c, (*c)[1]});
+    watches_[litNot((*c)[1])].push_back({c, (*c)[0]});
 }
 
 void
@@ -109,7 +180,7 @@ SatSolver::propagate()
     while (qhead_ < trail_.size()) {
         Lit p = trail_[qhead_++];
         propagations_++;
-        std::vector<Watcher> &ws = watches_[p];
+        WatchList &ws = watches_[p];
         size_t i = 0, j = 0;
         while (i < ws.size()) {
             Watcher w = ws[i];
@@ -118,7 +189,7 @@ SatSolver::propagate()
                 continue;
             }
             Clause *c = w.clause;
-            std::vector<Lit> &lits = c->lits;
+            Clause &lits = *c;
             // Normalize so lits[0] is the other watched literal.
             Lit not_p = litNot(p);
             if (lits[0] == not_p)
@@ -132,7 +203,7 @@ SatSolver::propagate()
             }
             // Look for a new literal to watch.
             bool moved = false;
-            for (size_t k = 2; k < lits.size(); ++k) {
+            for (size_t k = 2; k < lits.size; ++k) {
                 if (litValue(lits[k]) != LBool::False) {
                     std::swap(lits[1], lits[k]);
                     watches_[litNot(lits[1])].push_back({c, first});
@@ -151,13 +222,13 @@ SatSolver::propagate()
                 // Conflict: copy remaining watchers and bail.
                 while (i < ws.size())
                     ws[j++] = ws[i++];
-                ws.resize(j);
+                ws.truncate(j);
                 qhead_ = trail_.size();
                 return c;
             }
             enqueue(first, c);
         }
-        ws.resize(j);
+        ws.truncate(j);
     }
     return nullptr;
 }
@@ -176,7 +247,7 @@ SatSolver::analyze(Clause *conflict, std::vector<Lit> &out_learnt,
     do {
         S2E_ASSERT(c != nullptr, "analyze hit a decision without reason");
         bumpClauseActivity(c);
-        for (Lit q : c->lits) {
+        for (Lit q : *c) {
             if (q == p)
                 continue;
             Var v = litVar(q);
@@ -207,7 +278,7 @@ SatSolver::analyze(Clause *conflict, std::vector<Lit> &out_learnt,
         Clause *r = reason_[litVar(l)];
         if (!r)
             return false;
-        for (Lit q : r->lits) {
+        for (Lit q : *r) {
             Var v = litVar(q);
             if (v == litVar(l))
                 continue;
@@ -219,18 +290,17 @@ SatSolver::analyze(Clause *conflict, std::vector<Lit> &out_learnt,
     // Mark for the redundancy check; remember every marked variable
     // so the scratch flags are fully cleared afterwards (stale flags
     // would corrupt later conflict analyses).
-    std::vector<Var> marked;
-    marked.reserve(out_learnt.size());
+    marked_.clear();
     for (Lit l : out_learnt) {
         seen_[litVar(l)] = 1;
-        marked.push_back(litVar(l));
+        marked_.push_back(litVar(l));
     }
     size_t w = 1;
     for (size_t r = 1; r < out_learnt.size(); ++r) {
         if (!redundant(out_learnt[r]))
             out_learnt[w++] = out_learnt[r];
     }
-    for (Var v : marked)
+    for (Var v : marked_)
         seen_[v] = 0;
     out_learnt.resize(w);
 
@@ -313,26 +383,25 @@ void
 SatSolver::reduceDB()
 {
     // Remove the least active half of the learnt clauses, keeping
-    // clauses that are currently reasons.
-    std::vector<Clause *> keep;
-    std::vector<Clause *> sorted = learnts_;
-    std::sort(sorted.begin(), sorted.end(),
+    // clauses that are currently reasons. The survivors stay in
+    // activity order.
+    std::sort(learnts_.begin(), learnts_.end(),
               [](Clause *a, Clause *b) { return a->activity > b->activity; });
-    std::vector<bool> locked_set;
     auto isLocked = [&](Clause *c) {
-        Lit first = c->lits[0];
+        Lit first = (*c)[0];
         return litValue(first) == LBool::True &&
                reason_[litVar(first)] == c;
     };
-    size_t limit = sorted.size() / 2;
-    for (size_t i = 0; i < sorted.size(); ++i) {
-        Clause *c = sorted[i];
-        if (i < limit || isLocked(c) || c->lits.size() == 2) {
-            keep.push_back(c);
+    size_t limit = learnts_.size() / 2;
+    size_t kept = 0;
+    for (size_t i = 0; i < learnts_.size(); ++i) {
+        Clause *c = learnts_[i];
+        if (i < limit || isLocked(c) || c->size == 2) {
+            learnts_[kept++] = c;
         } else {
             // Detach from watch lists.
             for (int k = 0; k < 2; ++k) {
-                auto &ws = watches_[litNot(c->lits[k])];
+                WatchList &ws = watches_[litNot((*c)[k])];
                 for (size_t x = 0; x < ws.size(); ++x) {
                     if (ws[x].clause == c) {
                         ws[x] = ws.back();
@@ -341,10 +410,10 @@ SatSolver::reduceDB()
                     }
                 }
             }
-            delete c;
+            ::operator delete(c);
         }
     }
-    learnts_ = std::move(keep);
+    learnts_.resize(kept);
 }
 
 bool
@@ -352,7 +421,7 @@ SatSolver::verifyModel() const
 {
     for (const Clause *c : clauses_) {
         bool any = false;
-        for (Lit l : c->lits)
+        for (Lit l : *c)
             if (modelTrue(l))
                 any = true;
         if (!any)
@@ -417,20 +486,19 @@ SatSolver::solve(const std::vector<Lit> &assumptions,
                 ok_ = false;
                 return SatResult::Unsat;
             }
-            std::vector<Lit> learnt;
             int bt_level = 0;
-            analyze(conflict, learnt, bt_level);
+            analyze(conflict, learnt_, bt_level);
             cancelUntil(bt_level);
-            if (learnt.size() == 1) {
-                enqueue(learnt[0], nullptr);
+            if (learnt_.size() == 1) {
+                enqueue(learnt_[0], nullptr);
             } else {
-                Clause *c = new Clause();
-                c->learnt = true;
-                c->lits = learnt;
+                Clause *c = newClause(
+                    ::operator new(Clause::bytes(learnt_.size())),
+                    learnt_.data(), learnt_.size(), true);
                 learnts_.push_back(c);
                 attachClause(c);
                 bumpClauseActivity(c);
-                enqueue(learnt[0], c);
+                enqueue(learnt_[0], c);
             }
             decayActivities();
             if (budget.maxConflicts >= 0 &&

@@ -12,8 +12,10 @@
 #ifndef S2E_SOLVER_SAT_HH
 #define S2E_SOLVER_SAT_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "support/stats.hh"
@@ -129,15 +131,28 @@ class SatSolver
 
     /**
      * Add a clause (disjunction of literals). Returns false if the
-     * formula is already trivially unsatisfiable.
+     * formula is already trivially unsatisfiable. The short overloads
+     * normalize their literals in a stack buffer, the vector overload
+     * in a reused scratch vector; all four build the same clause.
      */
     bool addClause(const std::vector<Lit> &lits);
-    bool addClause(Lit a) { return addClause(std::vector<Lit>{a}); }
-    bool addClause(Lit a, Lit b) { return addClause(std::vector<Lit>{a, b}); }
+    bool
+    addClause(Lit a)
+    {
+        Lit lits[] = {a};
+        return addClauseInPlace(lits, 1);
+    }
+    bool
+    addClause(Lit a, Lit b)
+    {
+        Lit lits[] = {a, b};
+        return addClauseInPlace(lits, 2);
+    }
     bool
     addClause(Lit a, Lit b, Lit c)
     {
-        return addClause(std::vector<Lit>{a, b, c});
+        Lit lits[] = {a, b, c};
+        return addClauseInPlace(lits, 3);
     }
 
     /**
@@ -183,15 +198,93 @@ class SatSolver
     size_t numLearnts() const { return learnts_.size(); }
 
   private:
+    /**
+     * A clause is one block: this header, then `size` literals. The
+     * first two literals are the watched ones.
+     */
     struct Clause {
-        float activity = 0;
-        bool learnt = false;
-        std::vector<Lit> lits;
+        float activity;
+        uint32_t learnt : 1;
+        uint32_t size : 31;
+
+        Lit *begin() { return reinterpret_cast<Lit *>(this + 1); }
+        Lit *end() { return begin() + size; }
+        const Lit *begin() const
+        {
+            return reinterpret_cast<const Lit *>(this + 1);
+        }
+        const Lit *end() const { return begin() + size; }
+        Lit &operator[](size_t i) { return begin()[i]; }
+
+        static size_t
+        bytes(size_t n)
+        {
+            return sizeof(Clause) + n * sizeof(Lit);
+        }
+    };
+
+    /**
+     * Bump allocator for problem clauses, which live as long as the
+     * solver: chunks grow from 4 KiB to 64 KiB and are freed together.
+     */
+    class ClauseArena
+    {
+      public:
+        void *allocate(size_t bytes);
+
+      private:
+        std::vector<std::unique_ptr<std::byte[]>> chunks_;
+        std::byte *next_ = nullptr;
+        size_t left_ = 0;
     };
 
     struct Watcher {
         Clause *clause;
         Lit blocker;
+    };
+
+    /**
+     * One literal's watch list: the first kInline watchers are stored
+     * in place, beyond that the list moves to a heap array that
+     * doubles. Watcher order follows from the operations alone, never
+     * from the capacity, so kInline cannot change the search.
+     */
+    class WatchList
+    {
+      public:
+        static constexpr uint32_t kInline = 4;
+
+        WatchList() = default;
+        WatchList(WatchList &&o) noexcept;
+        WatchList(const WatchList &) = delete;
+        WatchList &operator=(const WatchList &) = delete;
+        WatchList &operator=(WatchList &&) = delete;
+        ~WatchList();
+
+        size_t size() const { return size_; }
+        Watcher *data() { return cap_ > kInline ? heap_ : inline_; }
+        Watcher &operator[](size_t i) { return data()[i]; }
+        Watcher &back() { return data()[size_ - 1]; }
+        void
+        push_back(const Watcher &w)
+        {
+            if (size_ == cap_)
+                grow();
+            data()[size_++] = w;
+        }
+        void pop_back() { size_--; }
+        /** Drop every watcher from index n on (n <= size()). */
+        void truncate(size_t n) { size_ = static_cast<uint32_t>(n); }
+
+      private:
+        void grow();
+
+        uint32_t size_ = 0;
+        uint32_t cap_ = kInline;
+        union {
+            Watcher inline_[kInline] = {};
+            Watcher *heap_;
+        };
     };
 
     LBool litValue(Lit l) const
@@ -202,6 +295,11 @@ class SatSolver
 
     int decisionLevel() const { return static_cast<int>(trailLim_.size()); }
 
+    bool addClauseInPlace(Lit *lits, size_t n);
+    /** Construct a clause over lits[0, n) in the block at mem, which
+     *  holds Clause::bytes(n). */
+    static Clause *newClause(void *mem, const Lit *lits, size_t n,
+                             bool learnt);
     void attachClause(Clause *c);
     void enqueue(Lit l, Clause *reason);
     Clause *propagate();
@@ -224,9 +322,10 @@ class SatSolver
     void heapSiftDown(int i);
 
     bool ok_ = true;
-    std::vector<Clause *> clauses_;
-    std::vector<Clause *> learnts_;
-    std::vector<std::vector<Watcher>> watches_; ///< indexed by Lit
+    ClauseArena arena_;               ///< storage of clauses_
+    std::vector<Clause *> clauses_;   ///< problem clauses
+    std::vector<Clause *> learnts_;   ///< one operator new block each
+    std::vector<WatchList> watches_;  ///< indexed by Lit
     std::vector<LBool> assigns_;
     std::vector<LBool> model_; ///< snapshot of assigns_ at last Sat
     std::vector<bool> phase_;  ///< saved phases
@@ -243,6 +342,9 @@ class SatSolver
     std::vector<int> heapPos_; ///< var -> heap index, -1 if absent
 
     std::vector<uint8_t> seen_; ///< scratch for analyze()
+    std::vector<Var> marked_;   ///< scratch for analyze()
+    std::vector<Lit> learnt_;   ///< scratch: the clause analyze() learns
+    std::vector<Lit> addTmp_;   ///< scratch for addClause(vector)
 
     uint64_t conflicts_ = 0;
     uint64_t decisions_ = 0;

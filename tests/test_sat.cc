@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include "expr/builder.hh"
+#include "solver/bitblast.hh"
 #include "solver/sat.hh"
 #include "support/rng.hh"
 
 namespace s2e::sat {
 namespace {
+
+using expr::ExprRef;
 
 TEST(Sat, EmptyFormulaIsSat)
 {
@@ -357,6 +361,287 @@ TEST(Sat, BudgetedAssumptionSolveIsResumable)
     EXPECT_EQ(s.solve({mkLit(g)}), SatResult::Unsat);
     EXPECT_FALSE(s.inConflict());
     EXPECT_EQ(s.solve(), SatResult::Sat);
+}
+
+TEST(Sat, WatchListsSpillPastInlineCapacity)
+{
+    // ¬a and ¬c are each watched by 16 clauses, four times the inline
+    // capacity: the binary (a ∨ b_i) and the ternary (a ∨ c ∨ d_i),
+    // whose watches move to ¬d_i once a is false.
+    constexpr int kN = 16;
+    SatSolver s;
+    Var a = s.newVar(), c = s.newVar();
+    std::vector<Var> b(kN), d(kN);
+    for (int i = 0; i < kN; ++i) {
+        b[i] = s.newVar();
+        d[i] = s.newVar();
+    }
+    for (int i = 0; i < kN; ++i) {
+        s.addClause(mkLit(a), mkLit(b[i]));
+        s.addClause(mkLit(a), mkLit(c), mkLit(d[i]));
+    }
+
+    ASSERT_EQ(s.solve({mkLit(a, true), mkLit(c, true)}), SatResult::Sat);
+    for (int i = 0; i < kN; ++i) {
+        EXPECT_TRUE(s.modelTrue(mkLit(b[i])));
+        EXPECT_TRUE(s.modelTrue(mkLit(d[i])));
+    }
+    EXPECT_TRUE(s.verifyModel());
+    uint64_t props = s.numPropagations();
+    EXPECT_GE(props, 2u * kN);
+
+    // A conflict partway down ¬a's list: b_3 and b_11 exclude each
+    // other, so ¬a is refuted and a becomes forced.
+    s.addClause(mkLit(b[3], true), mkLit(b[11], true));
+    EXPECT_EQ(s.solve({mkLit(a, true)}), SatResult::Unsat);
+    EXPECT_FALSE(s.inConflict());
+    ASSERT_EQ(s.solve(), SatResult::Sat);
+    EXPECT_TRUE(s.modelTrue(mkLit(a)));
+    EXPECT_TRUE(s.verifyModel());
+    EXPECT_GT(s.numPropagations(), props);
+}
+
+TEST(Sat, ReduceDbDeletesLearntsAndStaysCorrect)
+{
+    // Guarded PHP(8,7) takes about 3400 conflicts, well over the ~1100
+    // learnt clauses that trigger reduceDB (PHP(6,5) needs only 140),
+    // which then frees the least active half. Each
+    // conflict learns one clause unless it learns a unit (at most one
+    // per variable) or ends the search, so fewer learnts than that
+    // means some were deleted.
+    SatSolver s;
+    Var g = s.newVar();
+    addPigeonhole(s, 8, 7, mkLit(g));
+    ASSERT_EQ(s.solve({mkLit(g)}), SatResult::Unsat);
+    EXPECT_FALSE(s.inConflict());
+    EXPECT_LT(s.numLearnts() + static_cast<size_t>(s.numVars()) + 1,
+              s.numConflicts());
+
+    // The surviving learnt clauses and the watch lists they were
+    // detached from still give right answers.
+    ASSERT_EQ(s.solve(), SatResult::Sat);
+    EXPECT_TRUE(s.verifyModel());
+    EXPECT_EQ(s.solve({mkLit(g)}), SatResult::Unsat);
+    ASSERT_EQ(s.solve({mkLit(g, true)}), SatResult::Sat);
+    EXPECT_TRUE(s.verifyModel());
+}
+
+TEST(Sat, ShortAddClauseOverloadsMatchVector)
+{
+    // Every 1-, 2- and 3-literal clause over four variables, of which
+    // v0 is true and v1 false at the root: duplicates, tautologies,
+    // root-true and root-false literals all occur. The short overloads
+    // must build exactly what the vector overload builds.
+    constexpr int kVars = 4;
+    constexpr Lit kLits = 2 * kVars;
+    auto check = [](const std::vector<Lit> &lits) {
+        SatSolver viaShort, viaVector;
+        for (SatSolver *s : {&viaShort, &viaVector}) {
+            for (int v = 0; v < kVars; ++v)
+                s->newVar();
+            s->addClause(std::vector<Lit>{mkLit(0)});
+            s->addClause(std::vector<Lit>{mkLit(1, true)});
+        }
+        bool ok_short = false;
+        switch (lits.size()) {
+          case 1: ok_short = viaShort.addClause(lits[0]); break;
+          case 2: ok_short = viaShort.addClause(lits[0], lits[1]); break;
+          default:
+            ok_short = viaShort.addClause(lits[0], lits[1], lits[2]);
+            break;
+        }
+        bool ok_vector = viaVector.addClause(lits);
+        ASSERT_EQ(ok_short, ok_vector);
+        ASSERT_EQ(viaShort.numClauses(), viaVector.numClauses());
+        ASSERT_EQ(viaShort.inConflict(), viaVector.inConflict());
+        SatResult r = viaShort.solve();
+        ASSERT_EQ(r, viaVector.solve());
+        if (r != SatResult::Sat)
+            return;
+        for (Var v = 0; v < kVars; ++v)
+            ASSERT_EQ(viaShort.value(v), viaVector.value(v));
+    };
+    for (Lit x = 0; x < kLits; ++x) {
+        check({x});
+        for (Lit y = 0; y < kLits; ++y) {
+            check({x, y});
+            for (Lit z = 0; z < kLits; ++z)
+                check({x, y, z});
+        }
+    }
+}
+
+/** FNV-1a over the bytes of 64-bit words. */
+struct Fnv64 {
+    uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    add(uint64_t v)
+    {
+        for (int i = 0; i < 8; ++i)
+            h = (h ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+};
+
+/** Fold one solve's outcome into the digest: the answer, the search
+ *  counters and, after Sat, the full model. */
+void
+hashSolve(Fnv64 &fnv, const SatSolver &s, SatResult r)
+{
+    fnv.add(static_cast<uint64_t>(r));
+    fnv.add(s.numConflicts());
+    fnv.add(s.numDecisions());
+    fnv.add(s.numPropagations());
+    fnv.add(s.numLearnts());
+    if (r == SatResult::Sat)
+        for (Var v = 0; v < s.numVars(); ++v)
+            fnv.add(static_cast<uint64_t>(s.value(v)));
+}
+
+/** Random term of width `w` over `vars` (all of width w). */
+ExprRef
+randomTerm(expr::ExprBuilder &b, Rng &rng,
+           const std::vector<ExprRef> &vars, unsigned w, int depth)
+{
+    if (depth == 0 || rng.chance(0.25)) {
+        if (rng.chance(0.7))
+            return vars[rng.below(vars.size())];
+        return b.constant(rng.next(), w);
+    }
+    auto sub = [&] { return randomTerm(b, rng, vars, w, depth - 1); };
+    ExprRef x = sub();
+    ExprRef y = sub();
+    switch (rng.below(16)) {
+      case 0: return b.add(x, y);
+      case 1: return b.sub(x, y);
+      case 2: return b.mul(x, y);
+      case 3: return b.udiv(x, y);
+      case 4: return b.urem(x, y);
+      case 5: return b.sdiv(x, y);
+      case 6: return b.srem(x, y);
+      case 7: return b.bAnd(x, y);
+      case 8: return b.bOr(x, y);
+      case 9: return b.bXor(x, y);
+      case 10: return rng.chance(0.5) ? b.bNot(x) : b.neg(x);
+      case 11: return b.shl(x, y);
+      case 12: return rng.chance(0.5) ? b.lshr(x, y) : b.ashr(x, y);
+      case 13: {
+        ExprRef t = sub();
+        return b.ite(b.ult(x, y), t, y);
+      }
+      case 14: {
+        unsigned half = w / 2;
+        return b.concat(b.extract(x, half, w - half),
+                        b.extract(y, 0, half));
+      }
+      default: {
+        ExprRef narrow = b.extract(x, 1, w / 2);
+        return rng.chance(0.5) ? b.zext(narrow, w) : b.sext(narrow, w);
+      }
+    }
+}
+
+/** Random width-1 comparison between two random terms. */
+ExprRef
+randomConstraint(expr::ExprBuilder &b, Rng &rng,
+                 const std::vector<ExprRef> &vars, unsigned w)
+{
+    ExprRef l = randomTerm(b, rng, vars, w, 2);
+    ExprRef r = randomTerm(b, rng, vars, w, 2);
+    switch (rng.below(6)) {
+      case 0: return b.eq(l, r);
+      case 1: return b.ne(l, r);
+      case 2: return b.ult(l, r);
+      case 3: return b.ule(l, r);
+      case 4: return b.slt(l, r);
+      default: return b.sle(l, r);
+    }
+}
+
+/**
+ * Pins the CDCL search itself, not just its answers: a seeded stream
+ * of random 3-CNF instances (a few large enough to run reduceDB) and
+ * bit-blasted random expression sets, some solved repeatedly under
+ * assumptions, hashed over each solve's answer, model, conflict,
+ * decision, propagation and learnt-clause counts. Any change to the
+ * clause literal order, the watcher order or the learnt-clause
+ * handling changes the digest. A change that alters the search on
+ * purpose must record the new digest and say why.
+ */
+TEST(Sat, SearchIsPinned)
+{
+    Fnv64 fnv;
+    Rng rng(0x5a7);
+    const QueryBudget cnf_budget{20000, -1};
+    const QueryBudget blast_budget{300, -1};
+
+    // Random 3-CNF near the satisfiability threshold. Even instances
+    // use the three-literal overload, odd ones the vector overload;
+    // both may see duplicate and complementary literals.
+    for (int iter = 0; iter < 120; ++iter) {
+        bool big = iter % 40 == 39;
+        int nvars = big ? 150 : 20 + static_cast<int>(rng.below(60));
+        int nclauses = nvars * (400 + static_cast<int>(rng.below(60))) / 100;
+        SatSolver s;
+        for (int v = 0; v < nvars; ++v)
+            s.newVar();
+        auto lit = [&] {
+            return mkLit(static_cast<Var>(rng.below(nvars)), rng.chance(0.5));
+        };
+        for (int c = 0; c < nclauses; ++c) {
+            Lit l0 = lit(), l1 = lit(), l2 = lit();
+            bool ok = iter % 2 == 0
+                          ? s.addClause(l0, l1, l2)
+                          : s.addClause(std::vector<Lit>{l0, l1, l2});
+            fnv.add(ok);
+        }
+        hashSolve(fnv, s, s.solve({}, cnf_budget));
+        for (int q = 0; q < 3; ++q) {
+            std::vector<Lit> assumptions;
+            for (int k = 0; k < 3; ++k)
+                assumptions.push_back(lit());
+            hashSolve(fnv, s, s.solve(assumptions, cnf_budget));
+        }
+        fnv.add(s.numClauses());
+    }
+
+    // Bit-blasted random constraint sets, asserted directly or behind
+    // activation literals and selected per query.
+    expr::ExprBuilder b;
+    for (int iter = 0; iter < 80; ++iter) {
+        unsigned w = rng.chance(0.5) ? 6 : 10;
+        std::vector<ExprRef> vars;
+        int nv = 2 + static_cast<int>(rng.below(2));
+        for (int v = 0; v < nv; ++v)
+            vars.push_back(b.freshVar("pin", w));
+        int nc = 1 + static_cast<int>(rng.below(3));
+        SatSolver s;
+        solver::BitBlaster blaster(s);
+        if (iter % 2 == 0) {
+            for (int c = 0; c < nc; ++c)
+                blaster.assertTrue(randomConstraint(b, rng, vars, w));
+            hashSolve(fnv, s, s.solve({}, blast_budget));
+        } else {
+            std::vector<Lit> guards;
+            for (int c = 0; c < nc + 2; ++c) {
+                guards.push_back(mkLit(s.newVar()));
+                blaster.assertImplies(guards.back(),
+                                      randomConstraint(b, rng, vars, w));
+            }
+            for (int q = 0; q < 4; ++q) {
+                std::vector<Lit> assumptions;
+                for (Lit g : guards)
+                    if (rng.chance(0.6))
+                        assumptions.push_back(g);
+                hashSolve(fnv, s, s.solve(assumptions, blast_budget));
+            }
+        }
+        fnv.add(blaster.numGates());
+        fnv.add(s.numClauses());
+    }
+
+    EXPECT_EQ(fnv.h, 0x41ea4c5d7447ab40ULL)
+        << std::hex << "digest 0x" << fnv.h;
 }
 
 } // namespace

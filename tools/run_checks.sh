@@ -2,7 +2,8 @@
 # Run the differential suites that guard the exploration core in all
 # three configurations:
 #   1. the default build       — `ctest -L parallel` (serial-vs-parallel),
-#                                `ctest -L solver` (incremental-vs-fresh
+#                                `ctest -L solver` (SAT and solver
+#                                kernel tests, incremental-vs-fresh
 #                                solver contexts), `ctest -L lifecycle`
 #                                (spill/merge-vs-all-resident state
 #                                lifecycle), `ctest -L absint` (static
@@ -46,7 +47,7 @@ asan_dir=${3:-"$repo_root/build-asan"}
 jobs=$(nproc 2>/dev/null || echo 2)
 
 check_targets="test_parallel test_incremental test_lifecycle test_absint \
-test_replay test_workqueue test_expr"
+test_replay test_workqueue test_expr test_sat test_solver"
 
 status=0
 
