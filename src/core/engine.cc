@@ -238,6 +238,10 @@ Engine::Engine(vm::MachineConfig machine, EngineConfig config)
         &stats_.counterSlot("engine.witness_extract_failures");
     hot_.witnessesSkipped =
         &stats_.counterSlot("engine.witnesses_skipped");
+    hot_.witnessComponentSolves =
+        &stats_.counterSlot("engine.witness_component_solves");
+    hot_.witnessComponentHits =
+        &stats_.counterSlot("engine.witness_component_hits");
     hot_.replayDivergences =
         &stats_.counterSlot("engine.replay_divergences");
     solver_.setProfiler(&profiler_);
@@ -1699,8 +1703,11 @@ Engine::maybeEmitWitness(ExecutionState &state)
         Stats::bump(*hot_.witnessesSkipped);
         return;
     }
-    replay::ExtractResult r = replay::extractWitness(
-        state, builder_, config_.solverOptions, &curProfiler());
+    replay::ExtractResult r =
+        replay::extractWitness(state, builder_, config_.solverOptions,
+                               &curProfiler(), witnessModels_);
+    Stats::bump(*hot_.witnessComponentSolves, r.componentSolves);
+    Stats::bump(*hot_.witnessComponentHits, r.componentHits);
     if (!r.witness) {
         Stats::bump(*hot_.witnessExtractFailures);
         warn("witness extraction failed for path %s: %s",

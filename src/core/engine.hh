@@ -26,6 +26,7 @@
 #include "core/consistency.hh"
 #include "core/events.hh"
 #include "core/lifecycle/spill.hh"
+#include "core/replay/extract.hh"
 #include "core/state.hh"
 #include "core/workqueue.hh"
 #include "dbt/translator.hh"
@@ -336,6 +337,10 @@ class Engine
     /** Witnesses emitted so far (EngineConfig::emitWitnesses). */
     std::vector<std::shared_ptr<const replay::Witness>> witnesses() const;
 
+    /** Component models witness extraction reuses across this
+     *  engine's paths (keyed by this engine's expressions). */
+    replay::ComponentModels &witnessModels() { return witnessModels_; }
+
     /** Replay-mode cursor; null outside replay mode. */
     replay::ReplayCursor *replayCursor() const
     {
@@ -542,6 +547,8 @@ class Engine
         uint64_t *witnessesEmitted = nullptr;
         uint64_t *witnessExtractFailures = nullptr;
         uint64_t *witnessesSkipped = nullptr;
+        uint64_t *witnessComponentSolves = nullptr;
+        uint64_t *witnessComponentHits = nullptr;
         uint64_t *replayDivergences = nullptr;
     } hot_;
     SiteCounterCache concretizationSites_;
@@ -591,6 +598,7 @@ class Engine
     bool recording_ = false;
     mutable std::mutex witnessMutex_;
     std::vector<std::shared_ptr<const replay::Witness>> witnesses_;
+    replay::ComponentModels witnessModels_;
     std::unique_ptr<replay::ReplayCursor> replayCursor_;
 };
 

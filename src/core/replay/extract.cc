@@ -1,33 +1,22 @@
 #include "core/replay/extract.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
+#include <numeric>
+#include <optional>
 #include <unordered_set>
 
 #include "core/state.hh"
 #include "expr/builder.hh"
 #include "expr/eval.hh"
+#include "expr/vars.hh"
 #include "solver/solver.hh"
 #include "support/logging.hh"
 
 namespace s2e::core::replay {
 
 namespace {
-
-/** Collect the variables appearing in an expression. */
-void
-collectVars(ExprRef e, std::vector<ExprRef> &vars,
-            std::unordered_set<ExprRef> &seen)
-{
-    if (!seen.insert(e).second)
-        return;
-    if (e->isVariable()) {
-        vars.push_back(e);
-        return;
-    }
-    for (unsigned i = 0; i < e->arity(); ++i)
-        collectVars(e->kid(i), vars, seen);
-}
 
 /** Bit width of the variables a site kind creates. */
 unsigned
@@ -36,12 +25,70 @@ varWidth(SiteKind kind)
     return kind == SiteKind::SymMem ? 8 : 32;
 }
 
+/** Root of constraint `i` in a disjoint-set forest (path halving). */
+size_t
+findRoot(std::vector<size_t> &parent, size_t i)
+{
+    while (parent[i] != i) {
+        parent[i] = parent[parent[i]];
+        i = parent[i];
+    }
+    return i;
+}
+
 } // namespace
+
+size_t
+ComponentModels::KeyHash::operator()(const Key &key) const
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (ExprRef e : key)
+        h = (h ^ e->hash()) * 0x100000001b3ULL;
+    return static_cast<size_t>(h);
+}
+
+bool
+ComponentModels::lookup(const Key &key, expr::Assignment &model) const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = table_.find(key);
+    if (it == table_.end())
+        return false;
+    for (const auto &[id, value] : it->second)
+        model.setById(id, value);
+    return true;
+}
+
+void
+ComponentModels::insert(const Key &key, const expr::Assignment &model)
+{
+    Model sorted(model.values().begin(), model.values().end());
+    std::sort(sorted.begin(), sorted.end());
+    std::lock_guard<std::mutex> lock(mu_);
+    if (table_.size() >= kMaxEntries && !table_.count(key))
+        table_.clear();
+    // A concurrent fill of the same key stored the same model.
+    table_.emplace(key, std::move(sorted));
+}
+
+void
+ComponentModels::clear()
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    table_.clear();
+}
+
+size_t
+ComponentModels::size() const
+{
+    std::lock_guard<std::mutex> lock(mu_);
+    return table_.size();
+}
 
 ExtractResult
 extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
                const solver::SolverOptions &baseOptions,
-               obs::PhaseProfiler *profiler)
+               obs::PhaseProfiler *profiler, ComponentModels &models)
 {
     ExtractResult out;
 
@@ -52,44 +99,86 @@ extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
         for (const auto &name : ev.vars)
             created.emplace(name, varWidth(ev.kind));
     }
-
-    // Any constraint variable outside the creation record means a
-    // nondeterminism site went unrecorded — refuse to emit a witness
-    // that could not drive a faithful replay.
     std::unordered_set<uint64_t> created_ids;
     for (const auto &[name, width] : created)
         created_ids.insert(builder.var(name, width)->varId());
-    {
-        std::vector<ExprRef> used;
-        std::unordered_set<ExprRef> seen;
-        for (const auto &c : state.constraints)
-            collectVars(c, used, seen);
-        for (const ExprRef &v : used) {
+
+    // Split the raw path constraints into independent components:
+    // union-find over shared variables. Any constraint variable
+    // outside the creation record means a nondeterminism site went
+    // unrecorded — refuse to emit a witness that could not drive a
+    // faithful replay.
+    const std::vector<ExprRef> &cs = state.constraints;
+    std::vector<size_t> parent(cs.size());
+    std::iota(parent.begin(), parent.end(), size_t{0});
+    std::unordered_map<uint64_t, size_t> owner; // var id -> a constraint
+    std::unordered_set<ExprRef> seen;
+    for (size_t i = 0; i < cs.size() && out.error.empty(); ++i) {
+        seen.clear();
+        expr::collectVars(cs[i], seen, [&](ExprRef v) {
+            if (!out.error.empty())
+                return;
             if (!created_ids.count(v->varId())) {
                 out.error = "constraint variable '" + v->name() +
                             "' missing from nondeterminism log";
-                return out;
+                return;
             }
+            auto [it, fresh] = owner.emplace(v->varId(), i);
+            if (!fresh)
+                parent[findRoot(parent, i)] = findRoot(parent, it->second);
+        });
+    }
+    if (!out.error.empty())
+        return out;
+
+    // Components in order of their first constraint; constraints keep
+    // path order inside a component.
+    std::vector<ComponentModels::Key> components;
+    std::vector<size_t> slot(cs.size(), SIZE_MAX);
+    for (size_t i = 0; i < cs.size(); ++i) {
+        size_t root = findRoot(parent, i);
+        if (slot[root] == SIZE_MAX) {
+            slot[root] = components.size();
+            components.emplace_back();
         }
+        components[slot[root]].push_back(cs[i]);
     }
 
-    // Fresh deterministic solver: no model cache (answers would
-    // depend on query history), no incremental context reuse.
-    solver::SolverOptions opts = baseOptions;
-    opts.useModelCache = false;
-    opts.useIncremental = false;
-    solver::Solver solver(builder, opts);
-    solver.setProfiler(profiler);
+    // Fresh deterministic solver, built on the first miss: no model
+    // cache (answers would depend on query history), no incremental
+    // context reuse. Its simplifier memo is transparent, so each
+    // component's model depends only on that component.
+    std::optional<solver::Solver> fresh;
+    auto solver = [&]() -> solver::Solver & {
+        if (!fresh) {
+            solver::SolverOptions opts = baseOptions;
+            opts.useModelCache = false;
+            opts.useIncremental = false;
+            fresh.emplace(builder, opts);
+            fresh->setProfiler(profiler);
+        }
+        return *fresh;
+    };
 
+    // The path model is the union of its components' models.
     expr::Assignment model;
-    if (!state.constraints.empty()) {
-        auto q = solver.getInitialValues(state.constraints, &model);
+    for (const ComponentModels::Key &component : components) {
+        if (models.lookup(component, model)) {
+            out.componentHits++;
+            continue;
+        }
+        out.componentSolves++;
+        expr::Assignment part;
+        auto q = solver().getInitialValues(component, &part);
         if (!q.isSat()) {
             out.error = q.isUnsat()
                             ? "path constraints unsatisfiable"
                             : "solver gave up on model extraction";
             return out;
         }
+        models.insert(component, part);
+        for (const auto &[id, value] : part.values())
+            model.setById(id, value);
     }
 
     // Complete the model over every created variable. Holes (inputs
@@ -107,7 +196,7 @@ extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
             continue;
         }
         uint64_t v = 0;
-        auto q = solver.getValue(pinned, var, &v);
+        auto q = solver().getValue(pinned, var, &v);
         if (!q.isSat()) {
             out.error = "hole repair failed for variable " + name;
             return out;

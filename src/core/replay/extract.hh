@@ -6,12 +6,19 @@
  * complete concrete replay witness (core/replay/witness.hh).
  */
 
+#include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <unordered_map>
+#include <utility>
+#include <vector>
 
 #include "core/replay/witness.hh"
+#include "expr/expr.hh"
 
 namespace s2e::expr {
+class Assignment;
 class ExprBuilder;
 }
 namespace s2e::obs {
@@ -27,25 +34,76 @@ class ExecutionState;
 
 namespace replay {
 
+/**
+ * Satisfying models of independent constraint components, keyed by
+ * the component's constraint sequence (path order).
+ *
+ * A component's model comes from a fresh deterministic solver, so it
+ * is a pure function of its key: a hit returns exactly what a re-solve
+ * would, and neither the fill order nor clearing the table can change
+ * a witness. Concurrent fills of one key store the same model, so the
+ * mutex only guards the map.
+ *
+ * Keys are raw `ExprRef`s, which stay valid (and unique per structure)
+ * only as long as the `ExprBuilder` that interned them. A table
+ * therefore belongs to one Engine and its builder, and anything that
+ * ever compacts or frees builder nodes must clear() it first.
+ *
+ * The table holds at most kMaxEntries components and is cleared
+ * wholesale when an insert would pass that.
+ */
+class ComponentModels
+{
+  public:
+    using Key = std::vector<expr::ExprRef>;
+
+    static constexpr size_t kMaxEntries = 8192;
+
+    /** Add the model cached for `key` to `model`; false on a miss. */
+    bool lookup(const Key &key, expr::Assignment &model) const;
+
+    /** Cache `model`, a Sat answer for exactly the constraints `key`. */
+    void insert(const Key &key, const expr::Assignment &model);
+
+    void clear();
+    size_t size() const;
+
+  private:
+    struct KeyHash {
+        size_t operator()(const Key &key) const;
+    };
+    /** (variable id, value) pairs, sorted by id. */
+    using Model = std::vector<std::pair<uint64_t, uint64_t>>;
+
+    mutable std::mutex mu_;
+    std::unordered_map<Key, Model, KeyHash> table_;
+};
+
 /** Outcome of extractWitness: a witness, or an error explaining why
  *  extraction failed (never a partial witness). */
 struct ExtractResult {
     std::shared_ptr<const Witness> witness;
     std::string error;
+    /** Components solved afresh, and components served by the table. */
+    uint64_t componentSolves = 0;
+    uint64_t componentHits = 0;
 };
 
 /**
  * Extract a replay witness from a terminated state.
  *
- * Queries a *fresh* solver (model cache and incremental contexts
- * disabled, so the model depends only on the path constraints, never
- * on query history or worker schedule) for a satisfying assignment,
- * then completes it over every variable the path created: variables
- * the model misses — unconstrained inputs, or variables simplified
- * away during bit-blasting — are pinned by explicit value queries
- * under the model-augmented constraints, never defaulted to zero.
- * The completed assignment is validated by concretely evaluating
- * every path constraint; any violation fails the extraction.
+ * The path constraints are split into independent components (no
+ * variable shared across components); the path model is the union of
+ * the components' models, each taken from `models` or, on a miss,
+ * from a *fresh* solver (model cache and incremental contexts
+ * disabled, so the model depends only on the component's constraints,
+ * never on query history or worker schedule) and then cached. The
+ * model is completed over every variable the path created: variables
+ * it misses — unconstrained inputs, or variables simplified away
+ * during bit-blasting — are pinned by explicit value queries under
+ * the model-augmented constraints, never defaulted to zero. The
+ * completed assignment is validated by concretely evaluating every
+ * path constraint; any violation fails the extraction.
  *
  * The fresh solver's queries are charged to the Solver phase of
  * `profiler` (the calling worker's; null charges nothing).
@@ -53,7 +111,8 @@ struct ExtractResult {
 ExtractResult extractWitness(const ExecutionState &state,
                              expr::ExprBuilder &builder,
                              const solver::SolverOptions &baseOptions,
-                             obs::PhaseProfiler *profiler);
+                             obs::PhaseProfiler *profiler,
+                             ComponentModels &models);
 
 } // namespace replay
 } // namespace s2e::core

@@ -7,6 +7,7 @@
 
 #include "support/bitops.hh"
 
+#include "expr/vars.hh"
 #include "solver/bitblast.hh"
 #include "solver/context.hh"
 #include "support/logging.hh"
@@ -17,27 +18,16 @@ using expr::Kind;
 
 namespace {
 
-/** Collect variable ids appearing in an expression. */
-void
-collectVars(ExprRef e, std::unordered_set<uint64_t> &vars,
-            std::unordered_set<ExprRef> &seen)
-{
-    if (!seen.insert(e).second)
-        return;
-    if (e->isVariable()) {
-        vars.insert(e->varId());
-        return;
-    }
-    for (unsigned i = 0; i < e->arity(); ++i)
-        collectVars(e->kid(i), vars, seen);
-}
-
+/** Variable ids appearing in `e` and in `more`. */
 std::unordered_set<uint64_t>
-varsOf(ExprRef e)
+varIdsOf(ExprRef e, const std::vector<ExprRef> &more = {})
 {
     std::unordered_set<uint64_t> vars;
     std::unordered_set<ExprRef> seen;
-    collectVars(e, vars, seen);
+    auto add = [&](ExprRef v) { vars.insert(v->varId()); };
+    expr::collectVars(e, seen, add);
+    for (ExprRef c : more)
+        expr::collectVars(c, seen, add);
     return vars;
 }
 
@@ -138,9 +128,9 @@ Solver::sliceIndependent(const std::vector<ExprRef> &constraints,
     std::vector<std::unordered_set<uint64_t>> cvars;
     cvars.reserve(constraints.size());
     for (ExprRef c : constraints)
-        cvars.push_back(varsOf(c));
+        cvars.push_back(varIdsOf(c));
 
-    std::unordered_set<uint64_t> active = varsOf(query);
+    std::unordered_set<uint64_t> active = varIdsOf(query);
     std::vector<bool> included(constraints.size(), false);
     bool changed = true;
     while (changed) {
@@ -201,12 +191,7 @@ Solver::tryCachedModels(const std::vector<ExprRef> &constraints,
         // (consumers treating absent variables as unconstrained could
         // emit invalid test cases).
         Assignment extended = *hit;
-        std::unordered_set<uint64_t> vars;
-        std::unordered_set<ExprRef> seen;
-        collectVars(query, vars, seen);
-        for (ExprRef c : constraints)
-            collectVars(c, vars, seen);
-        for (uint64_t id : vars)
+        for (uint64_t id : varIdsOf(query, constraints))
             if (!extended.has(id))
                 extended.setById(id, 0);
         *model = std::move(extended);
@@ -492,13 +477,8 @@ Solver::solveSatPipeline(const std::vector<ExprRef> &cs, ExprRef q,
             // on this path; variables outside the active set carry
             // arbitrary values (their constraints were switched off).
             // Restrict the model to this query's own variables.
-            std::unordered_set<uint64_t> vars;
-            std::unordered_set<ExprRef> seen;
-            collectVars(q, vars, seen);
-            for (ExprRef c : sliced)
-                collectVars(c, vars, seen);
             const auto &var_bits = blaster->varBits();
-            for (uint64_t id : vars) {
+            for (uint64_t id : varIdsOf(q, sliced)) {
                 auto it = var_bits.find(id);
                 if (it == var_bits.end())
                     continue; // simplified away while blasting

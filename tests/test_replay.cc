@@ -9,20 +9,25 @@
  * default-zero holes), serialize→parse→serialize round trips, the
  * corruption harness (bit flips / truncation / wrong version reject
  * before any state is touched), divergence detection on tampered
- * witnesses, and the emitWitnesses / witnessDir configuration knobs.
+ * witnesses, the emitWitnesses / witnessDir configuration knobs, and
+ * the per-engine component-model table (witnesses identical whether it
+ * is cold, warm or cleared; Unsat components never cached; bounded).
  */
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "core/engine.hh"
+#include "core/replay/extract.hh"
 #include "core/replay/replayer.hh"
 #include "core/replay/witness.hh"
 #include "guest/drivers.hh"
@@ -76,11 +81,20 @@ struct WitnessRun {
     std::map<std::string, std::vector<uint8_t>> images;
     std::vector<std::shared_ptr<const replay::Witness>> witnesses;
     RunResult run;
+    /** Component models solved afresh / served by the engine's table,
+     *  and the table's final size. */
+    uint64_t componentSolves = 0;
+    uint64_t componentHits = 0;
+    size_t tableSize = 0;
 };
 
 void
 collectWitnesses(Engine &engine, WitnessRun &out)
 {
+    out.componentSolves =
+        engine.stats().get("engine.witness_component_solves");
+    out.componentHits = engine.stats().get("engine.witness_component_hits");
+    out.tableSize = engine.witnessModels().size();
     out.witnesses = engine.witnesses();
     for (const auto &w : out.witnesses) {
         bool fresh =
@@ -311,6 +325,52 @@ TEST(ReplayWitnessDifferential, DdtWitnessesByteIdenticalAcrossWorkers)
     EXPECT_EQ(serial.run.witnessExtractFailures, 0u);
     for (unsigned w : kWorkerCounts)
         expectSameImages(serial, runDdt(w), w);
+}
+
+/** FNV-1a-64 over a run's witness images, sorted by content. */
+std::string
+witnessDigest(const WitnessRun &run)
+{
+    std::vector<std::vector<uint8_t>> images;
+    for (const auto &[path, img] : run.images)
+        images.push_back(img);
+    std::sort(images.begin(), images.end());
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (const auto &img : images)
+        for (uint8_t byte : img)
+            h = (h ^ byte) * 0x100000001b3ULL;
+    return strprintf("%016llx", static_cast<unsigned long long>(h));
+}
+
+TEST(ReplayWitnessDifferential, DdtWitnessDigestIsPinned)
+{
+    // A digest change means some witness's bytes changed: its model,
+    // its event log or the wire format. Record a new digest only with
+    // the reason.
+    WitnessRun pio = runDdt(1);
+    EXPECT_EQ(pio.images.size(), 23u);
+    EXPECT_EQ(witnessDigest(pio), "91d2636274d72bec");
+
+    // DDT+ on the pcnet driver as perfbench's ddt_pcnet runs it
+    // (searcher seed 42). Its witnesses include paths whose component
+    // models differ from a whole-path model.
+    tools::DdtConfig config;
+    config.driver = guest::DriverKind::Dma;
+    config.model = ConsistencyModel::Lc;
+    config.annotations = true;
+    config.maxStates = 256;
+    config.maxWallSeconds = 0;
+    config.maxInstructions = 0;
+    config.emitWitnesses = true;
+    config.searcherSeed = 42;
+    tools::Ddt ddt(config);
+    WitnessRun pcnet;
+    pcnet.run = ddt.run().run;
+    collectWitnesses(ddt.engine(), pcnet);
+    EXPECT_EQ(pcnet.images.size(), 256u);
+    EXPECT_EQ(pcnet.componentSolves, 493u);
+    EXPECT_EQ(pcnet.componentHits, 2629u);
+    EXPECT_EQ(witnessDigest(pcnet), "3e56d99ca6473b88");
 }
 
 // --- Solver-free replay to the identical terminal outcome ----------------
@@ -601,6 +661,229 @@ TEST(ReplayWitnessExtraction, AssignmentCoversAllSymbolicBytes)
     }
     EXPECT_TRUE(saw_bit_set);
     EXPECT_TRUE(saw_bit_clear);
+}
+
+// --- Component models -----------------------------------------------------
+
+/** Re-extract the witness of every path `engine` witnessed, through
+ *  `models` (cleared before each path when `clear_each`). */
+WitnessRun
+reextract(Engine &engine, replay::ComponentModels &models, bool clear_each)
+{
+    std::map<std::string, const ExecutionState *> by_path;
+    for (const auto &s : engine.allStates())
+        by_path[s->pathId()] = s.get();
+    WitnessRun out;
+    for (const auto &w : engine.witnesses()) {
+        auto it = by_path.find(w->pathId);
+        if (it == by_path.end()) {
+            ADD_FAILURE() << "no state for witnessed path " << w->pathId;
+            continue;
+        }
+        if (clear_each)
+            models.clear();
+        replay::ExtractResult r = replay::extractWitness(
+            *it->second, engine.builder(), engine.config().solverOptions,
+            nullptr, models);
+        if (!r.witness) {
+            ADD_FAILURE() << "path " << w->pathId << ": " << r.error;
+            continue;
+        }
+        out.componentSolves += r.componentSolves;
+        out.componentHits += r.componentHits;
+        out.images.emplace(w->pathId, replay::serializeWitness(*r.witness));
+    }
+    return out;
+}
+
+TEST(ReplayWitnessExtraction, DdtWitnessesIgnoreComponentTableState)
+{
+    // Cold: a serial run fills its table in path order, and every
+    // fresh solve adds one entry.
+    WitnessRun serial = runDdt(1);
+    ASSERT_GT(serial.images.size(), 4u);
+    EXPECT_GT(serial.componentSolves, 0u);
+    EXPECT_GT(serial.componentHits, 0u);
+    EXPECT_EQ(serial.componentSolves, serial.tableSize);
+
+    // A 2-worker run fills its table in schedule order; its witnesses
+    // match the serial ones byte for byte.
+    tools::Ddt ddt(ddtConfig(2));
+    ddt.run();
+    Engine &engine = ddt.engine();
+    WitnessRun parallel;
+    collectWitnesses(engine, parallel);
+    expectSameImages(serial, parallel, 2);
+
+    // Warm: extracting the 2-worker paths again from that table solves
+    // nothing and yields the same bytes.
+    WitnessRun warm = reextract(engine, engine.witnessModels(), false);
+    EXPECT_EQ(warm.componentSolves, 0u);
+    EXPECT_GT(warm.componentHits, 0u);
+    expectSameImages(serial, warm, 2);
+
+    // Cleared before every path: each path solves all its components.
+    replay::ComponentModels cleared;
+    WitnessRun each = reextract(engine, cleared, true);
+    EXPECT_EQ(each.componentHits, 0u);
+    EXPECT_EQ(each.componentSolves,
+              serial.componentSolves + serial.componentHits);
+    expectSameImages(serial, each, 2);
+}
+
+/** A state over logged 32-bit register inputs `logged`, carrying the
+ *  path constraints `constraints`. */
+std::unique_ptr<ExecutionState>
+stateWith(const std::vector<std::string> &logged,
+          std::vector<ExprRef> constraints)
+{
+    auto state = std::make_unique<ExecutionState>(4096, vm::DeviceSet{});
+    for (const std::string &name : logged) {
+        replay::NondetEvent ev;
+        ev.kind = replay::SiteKind::SymReg;
+        ev.vars = {name};
+        state->replayLog.events.push_back(ev);
+    }
+    state->constraints = std::move(constraints);
+    return state;
+}
+
+TEST(ReplayWitnessExtraction, PathModelIsTheUnionOfComponentModels)
+{
+    expr::ExprBuilder b;
+    ExprRef a = b.var("a", 32), x = b.var("b", 32), c = b.var("c", 32);
+    ExprRef a_is_1 = b.eq(a, b.constant(1, 32));
+    ExprRef x_small = b.ult(x, b.constant(5, 32));
+    ExprRef x_odd = b.eq(b.extract(x, 0, 1), b.constant(1, 1));
+    ExprRef c_is_3 = b.eq(c, b.constant(3, 32));
+    // Components {a}, {b: small, odd} and {c}, interleaved on the path.
+    auto first =
+        stateWith({"a", "b", "c"}, {x_small, a_is_1, x_odd, c_is_3});
+    replay::ComponentModels models;
+    replay::ExtractResult r = replay::extractWitness(
+        *first, b, solver::SolverOptions{}, nullptr, models);
+    ASSERT_TRUE(r.witness) << r.error;
+    EXPECT_EQ(r.componentSolves, 3u);
+    EXPECT_EQ(r.componentHits, 0u);
+    EXPECT_EQ(models.size(), 3u);
+    ASSERT_EQ(r.witness->inputs.size(), 3u);
+    EXPECT_EQ(r.witness->find("a")->value, 1u);
+    uint64_t xv = r.witness->find("b")->value;
+    EXPECT_TRUE(xv < 5 && (xv & 1)) << xv;
+    EXPECT_EQ(r.witness->find("c")->value, 3u);
+
+    // Another path with the same {b} component sequence reuses it.
+    ExprRef a_is_2 = b.eq(a, b.constant(2, 32));
+    auto second = stateWith({"a", "b"}, {a_is_2, x_small, x_odd});
+    r = replay::extractWitness(*second, b, solver::SolverOptions{}, nullptr,
+                               models);
+    ASSERT_TRUE(r.witness) << r.error;
+    EXPECT_EQ(r.componentSolves, 1u);
+    EXPECT_EQ(r.componentHits, 1u);
+    EXPECT_EQ(r.witness->find("a")->value, 2u);
+    EXPECT_EQ(r.witness->find("b")->value, xv);
+}
+
+TEST(ReplayWitnessExtraction, UnsatComponentFailsAndIsNotCached)
+{
+    expr::ExprBuilder b;
+    ExprRef a = b.var("a", 32), x = b.var("b", 32), c = b.var("c", 32);
+    ExprRef a_is_1 = b.eq(a, b.constant(1, 32));
+    ExprRef x_lo = b.ult(x, b.constant(5, 32));
+    ExprRef x_hi = b.ugt(x, b.constant(10, 32));
+    ExprRef c_is_3 = b.eq(c, b.constant(3, 32));
+    // Components {a}, {b: x < 5 and x > 10, Unsat} and {c}.
+    auto state = stateWith({"a", "b", "c"}, {a_is_1, x_lo, c_is_3, x_hi});
+    replay::ComponentModels models;
+    replay::ExtractResult r = replay::extractWitness(
+        *state, b, solver::SolverOptions{}, nullptr, models);
+    EXPECT_FALSE(r.witness);
+    EXPECT_EQ(r.error, "path constraints unsatisfiable");
+    EXPECT_EQ(r.componentSolves, 2u); // {a}, then {b} fails
+    EXPECT_EQ(models.size(), 1u);
+    expr::Assignment probe;
+    EXPECT_TRUE(models.lookup({a_is_1}, probe));
+    EXPECT_FALSE(models.lookup({x_lo, x_hi}, probe));
+
+    // A retry is served {a} and solves the Unsat component again.
+    r = replay::extractWitness(*state, b, solver::SolverOptions{}, nullptr,
+                               models);
+    EXPECT_EQ(r.error, "path constraints unsatisfiable");
+    EXPECT_EQ(r.componentHits, 1u);
+    EXPECT_EQ(r.componentSolves, 1u);
+    EXPECT_EQ(models.size(), 1u);
+}
+
+TEST(ReplayWitnessExtraction, UnloggedVariableInLaterComponentFails)
+{
+    expr::ExprBuilder b;
+    ExprRef a = b.var("a", 32), x = b.var("b", 32), c = b.var("c", 32);
+    // "b" is constrained but never logged; its component comes last.
+    auto state = stateWith({"a", "c"}, {b.eq(a, b.constant(1, 32)),
+                                        b.eq(c, b.constant(3, 32)),
+                                        b.eq(x, b.constant(2, 32))});
+    replay::ComponentModels models;
+    replay::ExtractResult r = replay::extractWitness(
+        *state, b, solver::SolverOptions{}, nullptr, models);
+    EXPECT_FALSE(r.witness);
+    EXPECT_EQ(r.error,
+              "constraint variable 'b' missing from nondeterminism log");
+    EXPECT_EQ(r.componentSolves, 0u);
+    EXPECT_EQ(models.size(), 0u);
+}
+
+TEST(ReplayWitnessExtraction, EnginesDoNotShareComponentModels)
+{
+    std::string src = guest::kernelSource() + guest::licenseCheckSource();
+    Engine first(machineFor(src), witnessConfig(1));
+    licenseSetup(first);
+    first.run();
+    WitnessRun one;
+    collectWitnesses(first, one);
+    ASSERT_GT(one.tableSize, 0u);
+
+    // A second engine in the same process starts empty and solves
+    // every component itself.
+    Engine second(machineFor(src), witnessConfig(1));
+    EXPECT_EQ(second.witnessModels().size(), 0u);
+    licenseSetup(second);
+    second.run();
+    WitnessRun two;
+    collectWitnesses(second, two);
+    EXPECT_EQ(two.componentSolves, one.componentSolves);
+    EXPECT_EQ(two.componentHits, one.componentHits);
+    EXPECT_EQ(two.tableSize, one.tableSize);
+    EXPECT_EQ(first.witnessModels().size(), one.tableSize);
+    expectSameImages(one, two, 1);
+}
+
+TEST(ReplayWitnessExtraction, ComponentTableIsBoundedAndClearable)
+{
+    constexpr size_t kCap = replay::ComponentModels::kMaxEntries;
+    expr::ExprBuilder b;
+    ExprRef x = b.var("x", 32);
+    auto key = [&](size_t i) {
+        return replay::ComponentModels::Key{b.eq(x, b.constant(i, 32))};
+    };
+    replay::ComponentModels models;
+    expr::Assignment model;
+    model.setById(x->varId(), 7);
+    for (size_t i = 0; i < kCap; ++i)
+        models.insert(key(i), model);
+    EXPECT_EQ(models.size(), kCap);
+    models.insert(key(0), model); // present: no growth, no clear
+    EXPECT_EQ(models.size(), kCap);
+
+    // One past the cap clears the table wholesale.
+    models.insert(key(kCap), model);
+    EXPECT_EQ(models.size(), 1u);
+    expr::Assignment got;
+    EXPECT_FALSE(models.lookup(key(0), got));
+    ASSERT_TRUE(models.lookup(key(kCap), got));
+    EXPECT_EQ(got.lookup(x->varId()), 7u);
+
+    models.clear();
+    EXPECT_EQ(models.size(), 0u);
 }
 
 // --- Divergence detection ------------------------------------------------
