@@ -1705,7 +1705,8 @@ Engine::maybeEmitWitness(ExecutionState &state)
     }
     replay::ExtractResult r =
         replay::extractWitness(state, builder_, config_.solverOptions,
-                               &curProfiler(), witnessModels_);
+                               &curProfiler(), witnessModels_,
+                               curSolver().varSets());
     Stats::bump(*hot_.witnessComponentSolves, r.componentSolves);
     Stats::bump(*hot_.witnessComponentHits, r.componentHits);
     if (!r.witness) {

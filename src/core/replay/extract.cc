@@ -88,7 +88,8 @@ ComponentModels::size() const
 ExtractResult
 extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
                const solver::SolverOptions &baseOptions,
-               obs::PhaseProfiler *profiler, ComponentModels &models)
+               obs::PhaseProfiler *profiler, ComponentModels &models,
+               expr::VarSets &varSets)
 {
     ExtractResult out;
 
@@ -112,24 +113,19 @@ extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
     std::vector<size_t> parent(cs.size());
     std::iota(parent.begin(), parent.end(), size_t{0});
     std::unordered_map<uint64_t, size_t> owner; // var id -> a constraint
-    std::unordered_set<ExprRef> seen;
-    for (size_t i = 0; i < cs.size() && out.error.empty(); ++i) {
-        seen.clear();
-        expr::collectVars(cs[i], seen, [&](ExprRef v) {
-            if (!out.error.empty())
-                return;
-            if (!created_ids.count(v->varId())) {
-                out.error = "constraint variable '" + v->name() +
+    for (size_t i = 0; i < cs.size(); ++i) {
+        for (uint64_t id : varSets.of(cs[i])) {
+            if (!created_ids.count(id)) {
+                out.error = "constraint variable '" +
+                            builder.varById(id)->name() +
                             "' missing from nondeterminism log";
-                return;
+                return out;
             }
-            auto [it, fresh] = owner.emplace(v->varId(), i);
+            auto [it, fresh] = owner.emplace(id, i);
             if (!fresh)
                 parent[findRoot(parent, i)] = findRoot(parent, it->second);
-        });
+        }
     }
-    if (!out.error.empty())
-        return out;
 
     // Components in order of their first constraint; constraints keep
     // path order inside a component.
@@ -206,9 +202,12 @@ extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
     }
 
     // Semantic validation: the completed assignment must satisfy the
-    // entire path — this is what rules out default-zero holes.
+    // entire path — this is what rules out default-zero holes. One
+    // memo serves the whole path.
+    expr::Evaluator eval;
+    eval.reset(full);
     for (const auto &c : state.constraints) {
-        if (!expr::evaluateBool(c, full)) {
+        if (!eval.evaluateBool(c)) {
             out.error = "completed assignment violates a path constraint";
             return out;
         }

@@ -20,6 +20,7 @@
 namespace s2e::expr {
 class Assignment;
 class ExprBuilder;
+class VarSets;
 }
 namespace s2e::obs {
 class PhaseProfiler;
@@ -106,13 +107,16 @@ struct ExtractResult {
  * path constraint; any violation fails the extraction.
  *
  * The fresh solver's queries are charged to the Solver phase of
- * `profiler` (the calling worker's; null charges nothing).
+ * `profiler` (the calling worker's; null charges nothing). The
+ * partition reads each constraint's variables from `varSets`, the
+ * calling worker's solver memo (Solver::varSets()).
  */
 ExtractResult extractWitness(const ExecutionState &state,
                              expr::ExprBuilder &builder,
                              const solver::SolverOptions &baseOptions,
                              obs::PhaseProfiler *profiler,
-                             ComponentModels &models);
+                             ComponentModels &models,
+                             expr::VarSets &varSets);
 
 } // namespace replay
 } // namespace s2e::core

@@ -5,58 +5,65 @@
 
 namespace s2e::expr {
 
-namespace {
+void
+Evaluator::reset(const Assignment &a)
+{
+    assignment_ = &a;
+    memo_.clear();
+}
 
 uint64_t
-evalRec(ExprRef e, const Assignment &a,
-        std::unordered_map<ExprRef, uint64_t> &memo)
+Evaluator::evaluate(ExprRef e)
 {
-    auto it = memo.find(e);
-    if (it != memo.end())
-        return it->second;
+    S2E_ASSERT(assignment_, "Evaluator::evaluate before reset");
+    return evalNode(e);
+}
+
+uint64_t
+Evaluator::evalNode(ExprRef e)
+{
+    // Leaves are cheaper to recompute than to memoize.
+    if (e->isConstant())
+        return e->value();
+    if (e->isVariable())
+        return truncate(assignment_->lookup(e->varId()), e->width());
+    if (const uint64_t *memo = memo_.find(e))
+        return *memo;
 
     uint64_t result = 0;
     switch (e->kind()) {
-      case Kind::Constant:
-        result = e->value();
-        break;
-      case Kind::Variable:
-        result = truncate(a.lookup(e->varId()), e->width());
-        break;
       case Kind::Not:
-        result = truncate(~evalRec(e->kid(0), a, memo), e->width());
+        result = truncate(~evalNode(e->kid(0)), e->width());
         break;
       case Kind::Neg:
-        result = truncate(0 - evalRec(e->kid(0), a, memo), e->width());
+        result = truncate(0 - evalNode(e->kid(0)), e->width());
         break;
       case Kind::Extract:
-        result = truncate(evalRec(e->kid(0), a, memo) >> e->aux(),
-                          e->width());
+        result = truncate(evalNode(e->kid(0)) >> e->aux(), e->width());
         break;
       case Kind::ZExt:
-        result = evalRec(e->kid(0), a, memo);
+        result = evalNode(e->kid(0));
         break;
       case Kind::SExt: {
-        uint64_t v = evalRec(e->kid(0), a, memo);
+        uint64_t v = evalNode(e->kid(0));
         result = truncate(
             static_cast<uint64_t>(signExtend(v, e->kid(0)->width())),
             e->width());
         break;
       }
       case Kind::Concat: {
-        uint64_t hi = evalRec(e->kid(0), a, memo);
-        uint64_t lo = evalRec(e->kid(1), a, memo);
+        uint64_t hi = evalNode(e->kid(0));
+        uint64_t lo = evalNode(e->kid(1));
         result = (hi << e->kid(1)->width()) | lo;
         break;
       }
       case Kind::Ite:
-        result = evalRec(e->kid(0), a, memo)
-                     ? evalRec(e->kid(1), a, memo)
-                     : evalRec(e->kid(2), a, memo);
+        result = evalNode(e->kid(0)) ? evalNode(e->kid(1))
+                                     : evalNode(e->kid(2));
         break;
       default: {
-        uint64_t x = evalRec(e->kid(0), a, memo);
-        uint64_t y = evalRec(e->kid(1), a, memo);
+        uint64_t x = evalNode(e->kid(0));
+        uint64_t y = evalNode(e->kid(1));
         // Comparisons operate at the operand width, not the result width.
         unsigned w = (e->width() == 1 && e->kid(0)->width() != 1)
                          ? e->kid(0)->width()
@@ -76,17 +83,9 @@ evalRec(ExprRef e, const Assignment &a,
         break;
       }
     }
-    memo[e] = result;
+
+    memo_.insert(e, result);
     return result;
-}
-
-} // namespace
-
-uint64_t
-evaluate(ExprRef e, const Assignment &assignment)
-{
-    std::unordered_map<ExprRef, uint64_t> memo;
-    return evalRec(e, assignment, memo);
 }
 
 } // namespace s2e::expr

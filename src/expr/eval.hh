@@ -12,6 +12,7 @@
 #include <unordered_map>
 
 #include "expr/expr.hh"
+#include "expr/nodetable.hh"
 
 namespace s2e::expr {
 
@@ -51,10 +52,51 @@ class Assignment
 };
 
 /**
+ * Reusable evaluator: evaluates expression DAGs under one assignment
+ * at a time, memoizing every interior node's value in a NodeTable.
+ * Roots evaluated under the same assignment share the memo, and
+ * reset() forgets it while keeping the storage, so a caller that
+ * tries many roots or many assignments allocates only while the table
+ * grows.
+ */
+class Evaluator
+{
+  public:
+    /** Evaluate under `a` from now on; `a` must outlive that use and
+     *  stay unchanged until the next reset. */
+    void reset(const Assignment &a);
+
+    /** Value of `e` (truncated to its width) under the assignment of
+     *  the last reset. Shared nodes are evaluated once. */
+    uint64_t evaluate(ExprRef e);
+
+    /** Evaluate a width-1 expression as a boolean. */
+    bool
+    evaluateBool(ExprRef e)
+    {
+        S2E_ASSERT(e->width() == 1, "evaluateBool on width-%u expr",
+                   e->width());
+        return evaluate(e) != 0;
+    }
+
+  private:
+    uint64_t evalNode(ExprRef e);
+
+    const Assignment *assignment_ = nullptr;
+    NodeTable<uint64_t> memo_; ///< interior nodes only
+};
+
+/**
  * Evaluate an expression DAG to a concrete value (truncated to the
  * expression width). Shared nodes are evaluated once.
  */
-uint64_t evaluate(ExprRef e, const Assignment &assignment);
+inline uint64_t
+evaluate(ExprRef e, const Assignment &assignment)
+{
+    Evaluator ev;
+    ev.reset(assignment);
+    return ev.evaluate(e);
+}
 
 /** Evaluate a width-1 expression as a boolean. */
 inline bool

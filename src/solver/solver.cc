@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <unordered_map>
-#include <unordered_set>
+#include <iterator>
+#include <span>
 
 #include "support/bitops.hh"
 
-#include "expr/vars.hh"
 #include "solver/bitblast.hh"
 #include "solver/context.hh"
 #include "support/logging.hh"
@@ -18,17 +17,20 @@ using expr::Kind;
 
 namespace {
 
-/** Variable ids appearing in `e` and in `more`. */
-std::unordered_set<uint64_t>
-varIdsOf(ExprRef e, const std::vector<ExprRef> &more = {})
+/** Do two ascending id sequences share an element? */
+bool
+intersects(std::span<const uint64_t> a, std::span<const uint64_t> b)
 {
-    std::unordered_set<uint64_t> vars;
-    std::unordered_set<ExprRef> seen;
-    auto add = [&](ExprRef v) { vars.insert(v->varId()); };
-    expr::collectVars(e, seen, add);
-    for (ExprRef c : more)
-        expr::collectVars(c, seen, add);
-    return vars;
+    size_t i = 0, j = 0;
+    while (i < a.size() && j < b.size()) {
+        if (a[i] == b[j])
+            return true;
+        if (a[i] < b[j])
+            ++i;
+        else
+            ++j;
+    }
+    return false;
 }
 
 uint64_t
@@ -125,32 +127,28 @@ Solver::sliceIndependent(const std::vector<ExprRef> &constraints,
         return constraints;
 
     // Transitive closure of variable sharing, seeded by the query.
-    std::vector<std::unordered_set<uint64_t>> cvars;
-    cvars.reserve(constraints.size());
-    for (ExprRef c : constraints)
-        cvars.push_back(varIdsOf(c));
-
-    std::unordered_set<uint64_t> active = varIdsOf(query);
-    std::vector<bool> included(constraints.size(), false);
+    // The active set stays sorted, so each test is one merge walk over
+    // a constraint's memoized variable set.
+    std::span<const uint64_t> query_vars = varSets_.of(query);
+    std::vector<uint64_t> &active = sliceVars_;
+    active.assign(query_vars.begin(), query_vars.end());
+    std::vector<char> &included = sliceIncluded_;
+    included.assign(constraints.size(), 0);
     bool changed = true;
     while (changed) {
         changed = false;
         for (size_t i = 0; i < constraints.size(); ++i) {
             if (included[i])
                 continue;
-            bool touches = false;
-            for (uint64_t v : cvars[i]) {
-                if (active.count(v)) {
-                    touches = true;
-                    break;
-                }
-            }
-            if (touches) {
-                included[i] = true;
-                changed = true;
-                for (uint64_t v : cvars[i])
-                    active.insert(v);
-            }
+            std::span<const uint64_t> vars = varSets_.of(constraints[i]);
+            if (!intersects(active, vars))
+                continue;
+            included[i] = 1;
+            changed = true;
+            sliceMerged_.clear();
+            std::set_union(active.begin(), active.end(), vars.begin(),
+                           vars.end(), std::back_inserter(sliceMerged_));
+            active.swap(sliceMerged_);
         }
     }
 
@@ -170,10 +168,13 @@ Solver::tryCachedModels(const std::vector<ExprRef> &constraints,
         return false;
     const Assignment *hit =
         recentModels_.findNewestFirst([&](const Assignment &a) {
-            if (!expr::evaluateBool(query, a))
+            // One memo per model tried: the query and the constraints
+            // share subterms.
+            evaluator_.reset(a);
+            if (!evaluator_.evaluateBool(query))
                 return false;
             for (ExprRef c : constraints)
-                if (!expr::evaluateBool(c, a))
+                if (!evaluator_.evaluateBool(c))
                     return false;
             return true;
         });
@@ -191,9 +192,14 @@ Solver::tryCachedModels(const std::vector<ExprRef> &constraints,
         // (consumers treating absent variables as unconstrained could
         // emit invalid test cases).
         Assignment extended = *hit;
-        for (uint64_t id : varIdsOf(query, constraints))
-            if (!extended.has(id))
-                extended.setById(id, 0);
+        auto zero_extend = [&](ExprRef e) {
+            for (uint64_t id : varSets_.of(e))
+                if (!extended.has(id))
+                    extended.setById(id, 0);
+        };
+        zero_extend(query);
+        for (ExprRef c : constraints)
+            zero_extend(c);
         *model = std::move(extended);
     }
     return true;
@@ -478,16 +484,23 @@ Solver::solveSatPipeline(const std::vector<ExprRef> &cs, ExprRef q,
             // arbitrary values (their constraints were switched off).
             // Restrict the model to this query's own variables.
             const auto &var_bits = blaster->varBits();
-            for (uint64_t id : varIdsOf(q, sliced)) {
-                auto it = var_bits.find(id);
-                if (it == var_bits.end())
-                    continue; // simplified away while blasting
-                uint64_t v = 0;
-                for (size_t i = 0; i < it->second.size(); ++i)
-                    if (sat->modelTrue(it->second[i]))
-                        v |= 1ULL << i;
-                a.setById(id, v);
-            }
+            auto restrict_to = [&](ExprRef e) {
+                for (uint64_t id : varSets_.of(e)) {
+                    if (a.has(id))
+                        continue;
+                    auto it = var_bits.find(id);
+                    if (it == var_bits.end())
+                        continue; // simplified away while blasting
+                    uint64_t v = 0;
+                    for (size_t i = 0; i < it->second.size(); ++i)
+                        if (sat->modelTrue(it->second[i]))
+                            v |= 1ULL << i;
+                    a.setById(id, v);
+                }
+            };
+            restrict_to(q);
+            for (ExprRef c : sliced)
+                restrict_to(c);
         } else {
             for (const auto &[var_id, bits] : blaster->varBits()) {
                 uint64_t v = 0;
@@ -573,8 +586,10 @@ Solver::getValue(const std::vector<ExprRef> &constraints, ExprRef query,
     std::vector<ExprRef> sliced = sliceIndependent(constraints, query);
     Assignment model;
     QueryOutcome out = solveSat(sliced, builder_.trueExpr(), &model);
-    if (out.isSat() && value)
-        *value = expr::evaluate(query, model);
+    if (out.isSat() && value) {
+        evaluator_.reset(model);
+        *value = evaluator_.evaluate(query);
+    }
     return out;
 }
 

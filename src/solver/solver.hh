@@ -28,6 +28,7 @@
 #include "expr/builder.hh"
 #include "expr/eval.hh"
 #include "expr/simplify.hh"
+#include "expr/vars.hh"
 #include "obs/profiler.hh"
 #include "solver/sat.hh"
 #include "support/rng.hh"
@@ -254,6 +255,11 @@ class Solver
     Stats &stats() { return stats_; }
     const SolverOptions &options() const { return opts_; }
 
+    /** Per-root variable sets memoized by this solver. Confined, like
+     *  the solver, to one thread at a time; the witness extractor
+     *  borrows the calling worker's. */
+    expr::VarSets &varSets() { return varSets_; }
+
     /** Attach the engine's phase profiler: every query then runs
      *  under a Solver span (nullptr detaches; never owned). */
     void setProfiler(obs::PhaseProfiler *profiler) { profiler_ = profiler; }
@@ -273,9 +279,16 @@ class Solver
         ctxSlot_ = slot;
     }
 
-  private:
+    /**
+     * Independence slice: the constraints that share variables with
+     * `expr`, transitively, in their original order (all of them with
+     * useIndependence off). Adds the number dropped to
+     * solver.constraints_sliced_away.
+     */
     std::vector<ExprRef>
     sliceIndependent(const std::vector<ExprRef> &constraints, ExprRef expr);
+
+  private:
     QueryOutcome solveSat(const std::vector<ExprRef> &constraints,
                           ExprRef expr, Assignment *model);
     /** Slicing -> model cache -> SAT tail of solveSat, shared by the
@@ -325,6 +338,11 @@ class Solver
         double *satTime = nullptr;
     } hot_;
     ModelRing recentModels_; ///< bounded model cache
+    expr::VarSets varSets_;
+    expr::Evaluator evaluator_; ///< model-cache probe, getValue
+    /** sliceIndependent scratch, kept to avoid per-query allocation. */
+    std::vector<uint64_t> sliceVars_, sliceMerged_;
+    std::vector<char> sliceIncluded_;
     /** Bound path-context slot (owned by the current ExecutionState);
      *  nullptr outside engine timeslices. */
     std::shared_ptr<IncrementalContext> *ctxSlot_ = nullptr;

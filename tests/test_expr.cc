@@ -2,13 +2,17 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <set>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include "expr/builder.hh"
 #include "expr/eval.hh"
+#include "expr/nodetable.hh"
+#include "expr/vars.hh"
 #include "support/bitops.hh"
 #include "support/rng.hh"
 
@@ -460,6 +464,185 @@ TEST(ExprBuilder, FullHashCollisionStaysDistinct)
     EXPECT_EQ(wide->value(), value);
     EXPECT_EQ(b.constant(value, 64), wide);
     EXPECT_EQ(b.constant(5, 32), narrow);
+}
+
+/**
+ * Seeded random DAG over 32-bit variables x, y, z: every expression
+ * kind, each node built from earlier ones so subterms are shared, and
+ * comparisons and narrow slices kept as roots of their own. Returns
+ * every node built, in build order.
+ */
+std::vector<ExprRef>
+randomDag(ExprBuilder &b, Rng &rng, int steps)
+{
+    std::vector<ExprRef> pool = {b.var("x", 32), b.var("y", 32),
+                                 b.var("z", 32), b.constant(3, 32)};
+    std::vector<ExprRef> out;
+    auto pick = [&] { return pool[rng.below(pool.size())]; };
+    for (int i = 0; i < steps; ++i) {
+        ExprRef l = pick(), r = pick();
+        ExprRef e;
+        switch (rng.below(8)) {
+          case 0: e = b.constant(rng.next(), 32); break;
+          case 1: {
+            ExprRef (ExprBuilder::*ops[])(ExprRef, ExprRef) = {
+                &ExprBuilder::add,  &ExprBuilder::sub,  &ExprBuilder::mul,
+                &ExprBuilder::udiv, &ExprBuilder::sdiv, &ExprBuilder::urem,
+                &ExprBuilder::srem, &ExprBuilder::bAnd, &ExprBuilder::bOr,
+                &ExprBuilder::bXor, &ExprBuilder::shl,  &ExprBuilder::lshr,
+                &ExprBuilder::ashr};
+            e = (b.*ops[rng.below(13)])(l, r);
+            break;
+          }
+          case 2: {
+            ExprRef (ExprBuilder::*cmps[])(ExprRef, ExprRef) = {
+                &ExprBuilder::eq, &ExprBuilder::ult, &ExprBuilder::ule,
+                &ExprBuilder::slt, &ExprBuilder::sle};
+            ExprRef cond = (b.*cmps[rng.below(5)])(l, r);
+            out.push_back(cond);
+            e = b.ite(cond, l, pick());
+            break;
+          }
+          case 3: {
+            ExprRef byte = b.extract(l, 8 * rng.below(4), 8);
+            out.push_back(byte);
+            e = rng.below(2) ? b.zext(byte, 32) : b.sext(byte, 32);
+            break;
+          }
+          case 4:
+            e = b.concat(b.extract(l, 16, 16), b.extract(r, 0, 16));
+            break;
+          case 5: e = b.bNot(l); break;
+          case 6: e = b.neg(l); break;
+          default: e = b.zext(b.ult(l, r), 32); break;
+        }
+        pool.push_back(e);
+        out.push_back(e);
+    }
+    return out;
+}
+
+TEST(Evaluator, MatchesEvaluateAcrossRootsAndResets)
+{
+    ExprBuilder b;
+    Rng rng(17);
+    ExprRef vars[] = {b.var("x", 32), b.var("y", 32), b.var("z", 32)};
+    Evaluator ev; // one memo for the whole test
+    for (int dag = 0; dag < 20; ++dag) {
+        std::vector<ExprRef> roots = randomDag(b, rng, 60);
+        std::vector<Assignment> assignments(4);
+        for (Assignment &a : assignments)
+            for (ExprRef v : vars)
+                if (rng.below(4)) // sometimes absent: reads as 0
+                    a.set(v, rng.next() & 0xffffffff);
+        // Alternate assignments so a stale memo would show.
+        for (int round = 0; round < 8; ++round) {
+            const Assignment &a = assignments[round % assignments.size()];
+            ev.reset(a);
+            // Newest roots first: their kids are then memoized while
+            // the older roots are still to be evaluated.
+            for (size_t i = roots.size(); i-- > 0;)
+                ASSERT_EQ(ev.evaluate(roots[i]), evaluate(roots[i], a))
+                    << "dag " << dag << " round " << round << ": "
+                    << roots[i]->toString();
+            for (ExprRef r : roots) // memo hits agree too
+                ASSERT_EQ(ev.evaluate(r), evaluate(r, a));
+        }
+    }
+}
+
+TEST(Evaluator, BooleanRootsShareOneMemo)
+{
+    ExprBuilder b;
+    ExprRef x = b.var("x", 8);
+    ExprRef sum = b.add(x, b.constant(1, 8));
+    Assignment a;
+    a.set(x, 255);
+    Evaluator ev;
+    ev.reset(a);
+    EXPECT_TRUE(ev.evaluateBool(b.eq(sum, b.constant(0, 8))));
+    EXPECT_FALSE(ev.evaluateBool(b.ult(b.constant(0, 8), sum)));
+    Assignment other;
+    other.set(x, 1);
+    ev.reset(other);
+    EXPECT_FALSE(ev.evaluateBool(b.eq(sum, b.constant(0, 8))));
+    EXPECT_TRUE(ev.evaluateBool(b.ult(b.constant(0, 8), sum)));
+}
+
+TEST(NodeTable, ClearForgetsEntriesAndFreesLargeTables)
+{
+    ExprBuilder b;
+    NodeTable<uint64_t> table;
+    std::vector<ExprRef> nodes;
+    for (uint64_t i = 0; i < 100; ++i)
+        nodes.push_back(b.constant(i, 32));
+    for (uint64_t i = 0; i < nodes.size(); ++i)
+        EXPECT_TRUE(table.insert(nodes[i], i).second);
+    for (uint64_t i = 0; i < nodes.size(); ++i) {
+        ASSERT_NE(table.find(nodes[i]), nullptr);
+        EXPECT_EQ(*table.find(nodes[i]), i);
+        auto [value, inserted] = table.insert(nodes[i], 7);
+        EXPECT_FALSE(inserted);
+        EXPECT_EQ(*value, i);
+    }
+    size_t small = table.capacity();
+    table.clear(); // forgets every entry, keeps the storage
+    EXPECT_EQ(table.capacity(), small);
+    for (ExprRef n : nodes)
+        EXPECT_EQ(table.find(n), nullptr);
+
+    // Grown past kKeptSlots, the storage is freed on clear.
+    for (uint64_t i = 0; table.capacity() <= NodeTable<uint64_t>::kKeptSlots;
+         ++i)
+        table.insert(b.constant(i, 64), i);
+    table.clear();
+    EXPECT_EQ(table.capacity(), 0u);
+    EXPECT_EQ(table.find(nodes[0]), nullptr);
+    EXPECT_TRUE(table.insert(nodes[0], 3).second);
+    EXPECT_EQ(*table.find(nodes[0]), 3u);
+}
+
+/** Ascending distinct variable ids of `e`, by a walk of its own. */
+std::vector<uint64_t>
+walkedVars(ExprRef e)
+{
+    std::unordered_set<ExprRef> seen;
+    std::vector<uint64_t> ids;
+    collectVars(e, seen, [&](ExprRef v) { ids.push_back(v->varId()); });
+    std::sort(ids.begin(), ids.end());
+    return ids;
+}
+
+TEST(VarSets, MatchesCollectVarsAcrossClear)
+{
+    ExprBuilder b;
+    Rng rng(5);
+    std::vector<ExprRef> roots = randomDag(b, rng, 300);
+    auto check_all = [&](VarSets &memo) {
+        for (ExprRef r : roots) {
+            std::span<const uint64_t> got = memo.of(r);
+            ASSERT_EQ(std::vector<uint64_t>(got.begin(), got.end()),
+                      walkedVars(r))
+                << r->toString();
+        }
+    };
+    VarSets memo;
+    check_all(memo);
+    check_all(memo); // now every root is a hit
+    size_t distinct = memo.size();
+    EXPECT_LE(distinct, roots.size());
+
+    // Fill to the cap with distinct roots; one more clears wholesale.
+    ExprRef w = b.var("w", 32);
+    uint64_t k = 0;
+    while (memo.size() < VarSets::kMaxEntries)
+        ASSERT_EQ(memo.of(b.eq(w, b.constant(k++, 32))).size(), 1u);
+    std::span<const uint64_t> last = memo.of(b.eq(w, b.constant(k, 32)));
+    ASSERT_EQ(last.size(), 1u);
+    EXPECT_EQ(last[0], w->varId());
+    EXPECT_EQ(memo.size(), 1u);
+    check_all(memo);
+    EXPECT_EQ(memo.size(), distinct + 1);
 }
 
 } // namespace

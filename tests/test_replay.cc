@@ -30,6 +30,7 @@
 #include "core/replay/extract.hh"
 #include "core/replay/replayer.hh"
 #include "core/replay/witness.hh"
+#include "expr/vars.hh"
 #include "guest/drivers.hh"
 #include "guest/kernel.hh"
 #include "guest/layout.hh"
@@ -342,6 +343,22 @@ witnessDigest(const WitnessRun &run)
     return strprintf("%016llx", static_cast<unsigned long long>(h));
 }
 
+/** DDT+ on the pcnet driver as perfbench's ddt_pcnet runs it. */
+tools::DdtConfig
+pcnetConfig()
+{
+    tools::DdtConfig config;
+    config.driver = guest::DriverKind::Dma;
+    config.model = ConsistencyModel::Lc;
+    config.annotations = true;
+    config.maxStates = 256;
+    config.maxWallSeconds = 0;
+    config.maxInstructions = 0;
+    config.emitWitnesses = true;
+    config.searcherSeed = 42;
+    return config;
+}
+
 TEST(ReplayWitnessDifferential, DdtWitnessDigestIsPinned)
 {
     // A digest change means some witness's bytes changed: its model,
@@ -354,16 +371,7 @@ TEST(ReplayWitnessDifferential, DdtWitnessDigestIsPinned)
     // DDT+ on the pcnet driver as perfbench's ddt_pcnet runs it
     // (searcher seed 42). Its witnesses include paths whose component
     // models differ from a whole-path model.
-    tools::DdtConfig config;
-    config.driver = guest::DriverKind::Dma;
-    config.model = ConsistencyModel::Lc;
-    config.annotations = true;
-    config.maxStates = 256;
-    config.maxWallSeconds = 0;
-    config.maxInstructions = 0;
-    config.emitWitnesses = true;
-    config.searcherSeed = 42;
-    tools::Ddt ddt(config);
+    tools::Ddt ddt(pcnetConfig());
     WitnessRun pcnet;
     pcnet.run = ddt.run().run;
     collectWitnesses(ddt.engine(), pcnet);
@@ -371,6 +379,26 @@ TEST(ReplayWitnessDifferential, DdtWitnessDigestIsPinned)
     EXPECT_EQ(pcnet.componentSolves, 493u);
     EXPECT_EQ(pcnet.componentHits, 2629u);
     EXPECT_EQ(witnessDigest(pcnet), "3e56d99ca6473b88");
+}
+
+TEST(ReplayWitnessDifferential, DdtSolverDecisionsArePinned)
+{
+    // The solver front end's decisions on the same run: how many
+    // queries reach SAT, how many a cached model answers, how many
+    // reuse a path context, and how many constraints slicing drops. A
+    // change meant to alter only the cost of slicing, model probes or
+    // evaluation must leave every count here as it is.
+    tools::DdtConfig config = pcnetConfig();
+    // Debug builds verify every static verdict with extra SAT queries.
+    config.solverOptions.verifyAbsint = false;
+    tools::Ddt ddt(config);
+    ddt.run();
+    Stats &s = ddt.engine().solver().stats();
+    EXPECT_EQ(s.get("solver.queries"), 1617u);
+    EXPECT_EQ(s.get("solver.sat_queries"), 503u);
+    EXPECT_EQ(s.get("solver.ctx_reuses"), 248u);
+    EXPECT_EQ(s.get("solver.model_cache_hits"), 1090u);
+    EXPECT_EQ(s.get("solver.constraints_sliced_away"), 40458u);
 }
 
 // --- Solver-free replay to the identical terminal outcome ----------------
@@ -673,6 +701,7 @@ reextract(Engine &engine, replay::ComponentModels &models, bool clear_each)
     std::map<std::string, const ExecutionState *> by_path;
     for (const auto &s : engine.allStates())
         by_path[s->pathId()] = s.get();
+    expr::VarSets vars;
     WitnessRun out;
     for (const auto &w : engine.witnesses()) {
         auto it = by_path.find(w->pathId);
@@ -684,7 +713,7 @@ reextract(Engine &engine, replay::ComponentModels &models, bool clear_each)
             models.clear();
         replay::ExtractResult r = replay::extractWitness(
             *it->second, engine.builder(), engine.config().solverOptions,
-            nullptr, models);
+            nullptr, models, vars);
         if (!r.witness) {
             ADD_FAILURE() << "path " << w->pathId << ": " << r.error;
             continue;
@@ -760,8 +789,9 @@ TEST(ReplayWitnessExtraction, PathModelIsTheUnionOfComponentModels)
     auto first =
         stateWith({"a", "b", "c"}, {x_small, a_is_1, x_odd, c_is_3});
     replay::ComponentModels models;
+    expr::VarSets vars;
     replay::ExtractResult r = replay::extractWitness(
-        *first, b, solver::SolverOptions{}, nullptr, models);
+        *first, b, solver::SolverOptions{}, nullptr, models, vars);
     ASSERT_TRUE(r.witness) << r.error;
     EXPECT_EQ(r.componentSolves, 3u);
     EXPECT_EQ(r.componentHits, 0u);
@@ -776,7 +806,7 @@ TEST(ReplayWitnessExtraction, PathModelIsTheUnionOfComponentModels)
     ExprRef a_is_2 = b.eq(a, b.constant(2, 32));
     auto second = stateWith({"a", "b"}, {a_is_2, x_small, x_odd});
     r = replay::extractWitness(*second, b, solver::SolverOptions{}, nullptr,
-                               models);
+                               models, vars);
     ASSERT_TRUE(r.witness) << r.error;
     EXPECT_EQ(r.componentSolves, 1u);
     EXPECT_EQ(r.componentHits, 1u);
@@ -795,8 +825,9 @@ TEST(ReplayWitnessExtraction, UnsatComponentFailsAndIsNotCached)
     // Components {a}, {b: x < 5 and x > 10, Unsat} and {c}.
     auto state = stateWith({"a", "b", "c"}, {a_is_1, x_lo, c_is_3, x_hi});
     replay::ComponentModels models;
+    expr::VarSets vars;
     replay::ExtractResult r = replay::extractWitness(
-        *state, b, solver::SolverOptions{}, nullptr, models);
+        *state, b, solver::SolverOptions{}, nullptr, models, vars);
     EXPECT_FALSE(r.witness);
     EXPECT_EQ(r.error, "path constraints unsatisfiable");
     EXPECT_EQ(r.componentSolves, 2u); // {a}, then {b} fails
@@ -807,7 +838,7 @@ TEST(ReplayWitnessExtraction, UnsatComponentFailsAndIsNotCached)
 
     // A retry is served {a} and solves the Unsat component again.
     r = replay::extractWitness(*state, b, solver::SolverOptions{}, nullptr,
-                               models);
+                               models, vars);
     EXPECT_EQ(r.error, "path constraints unsatisfiable");
     EXPECT_EQ(r.componentHits, 1u);
     EXPECT_EQ(r.componentSolves, 1u);
@@ -823,8 +854,9 @@ TEST(ReplayWitnessExtraction, UnloggedVariableInLaterComponentFails)
                                         b.eq(c, b.constant(3, 32)),
                                         b.eq(x, b.constant(2, 32))});
     replay::ComponentModels models;
+    expr::VarSets vars;
     replay::ExtractResult r = replay::extractWitness(
-        *state, b, solver::SolverOptions{}, nullptr, models);
+        *state, b, solver::SolverOptions{}, nullptr, models, vars);
     EXPECT_FALSE(r.witness);
     EXPECT_EQ(r.error,
               "constraint variable 'b' missing from nondeterminism log");

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <set>
+#include <string>
+#include <unordered_set>
 
 #include "expr/builder.hh"
 #include "expr/eval.hh"
+#include "expr/vars.hh"
 #include "solver/bitblast.hh"
 #include "solver/context.hh"
 #include "solver/solver.hh"
@@ -904,6 +908,142 @@ TEST_F(SolverTest, IncrementalContextCoexistsWithModelCache)
     EXPECT_GT(v3, 60u);
     EXPECT_LT(v3, 64u);
     solver.bindPathContext(nullptr);
+}
+
+// --- Memoized slicing against a reference slicer -------------------------
+
+/** Independence slice by fresh walks: every call re-collects every
+ *  constraint's variables with expr::collectVars. */
+std::vector<ExprRef>
+referenceSlice(const std::vector<ExprRef> &cs, ExprRef query)
+{
+    auto vars_of = [](ExprRef e) {
+        std::set<uint64_t> ids;
+        std::unordered_set<ExprRef> seen;
+        expr::collectVars(e, seen,
+                          [&](ExprRef v) { ids.insert(v->varId()); });
+        return ids;
+    };
+    std::set<uint64_t> active = vars_of(query);
+    std::vector<bool> in(cs.size(), false);
+    for (bool grew = true; grew;) {
+        grew = false;
+        for (size_t i = 0; i < cs.size(); ++i) {
+            std::set<uint64_t> vars = vars_of(cs[i]);
+            if (in[i] || std::none_of(vars.begin(), vars.end(),
+                                      [&](uint64_t v) {
+                                          return active.count(v) != 0;
+                                      }))
+                continue;
+            in[i] = true;
+            grew = true;
+            active.insert(vars.begin(), vars.end());
+        }
+    }
+    std::vector<ExprRef> out;
+    for (size_t i = 0; i < cs.size(); ++i)
+        if (in[i])
+            out.push_back(cs[i]);
+    return out;
+}
+
+TEST(SliceDifferential, MemoizedSliceMatchesReference)
+{
+    ExprBuilder b;
+    SolverOptions opts;
+    opts.useSimplifier = false; // constraints reach slicing as built
+    opts.useAbsint = false;     // every Sat answer comes from a model
+    Solver memo(b, opts);
+    opts.useIndependence = false; // solves exactly the slice it is given
+    Solver ref(b, opts);
+
+    // Roots draw on v0..v11; v12 and v13 appear only in queries, so
+    // those queries are disjoint from every constraint.
+    Rng rng(2024);
+    std::vector<ExprRef> vars;
+    for (int i = 0; i < 14; ++i)
+        vars.push_back(b.var("v" + std::to_string(i), 8));
+    auto atom = [&](size_t nvars) {
+        for (;;) {
+            ExprRef x = vars[rng.below(nvars)];
+            ExprRef y = vars[rng.below(nvars)];
+            ExprRef k = b.constant(rng.below(256), 8);
+            ExprRef e;
+            switch (rng.below(4)) {
+              case 0: e = b.ult(b.add(x, y), k); break;
+              case 1: e = b.ne(b.bAnd(x, k), b.constant(0, 8)); break;
+              case 2: e = b.ule(x, b.bXor(y, k)); break;
+              default: e = b.eq(b.sub(x, y), k); break;
+            }
+            if (!e->isConstant())
+                return e;
+        }
+    };
+    std::vector<ExprRef> roots;
+    for (int i = 0; i < 40; ++i)
+        roots.push_back(atom(12));
+    struct Query {
+        std::vector<ExprRef> cs; // shared and repeated roots
+        ExprRef cond;
+        ExprRef term;
+    };
+    std::vector<Query> battery(150);
+    for (Query &t : battery) {
+        size_t n = 2 + rng.below(11);
+        for (size_t i = 0; i < n; ++i)
+            t.cs.push_back(roots[rng.below(roots.size())]);
+        // Some conditions contradict the path: those are Unsat.
+        t.cond = rng.below(4) ? atom(rng.below(8) ? 12 : 14)
+                              : b.lnot(t.cs[rng.below(n)]);
+        t.term = b.add(vars[rng.below(14)], vars[rng.below(14)]);
+    }
+
+    uint64_t sliced_away = 0;
+    size_t unsat = 0;
+    auto run_battery = [&] {
+        for (const Query &t : battery) {
+            std::vector<ExprRef> slice = referenceSlice(t.cs, t.cond);
+            ASSERT_EQ(memo.sliceIndependent(t.cs, t.cond), slice);
+            QueryOutcome m = memo.checkSat(t.cs, t.cond);
+            QueryOutcome r = ref.checkSat(slice, t.cond);
+            ASSERT_EQ(m.result, r.result);
+            unsat += m.isUnsat();
+            sliced_away += 2 * (t.cs.size() - slice.size());
+
+            std::vector<ExprRef> term_slice = referenceSlice(t.cs, t.term);
+            uint64_t mv = 0, rv = 0;
+            m = memo.getValue(t.cs, t.term, &mv);
+            r = ref.getValue(term_slice, t.term, &rv);
+            ASSERT_EQ(m.result, r.result);
+            if (m.isSat()) {
+                ASSERT_EQ(mv, rv);
+            }
+            sliced_away += t.cs.size() - term_slice.size();
+            ASSERT_EQ(memo.stats().get("solver.constraints_sliced_away"),
+                      sliced_away);
+        }
+    };
+    run_battery();
+    EXPECT_GT(sliced_away, 0u);
+    EXPECT_GT(unsat, 0u);
+    EXPECT_LT(unsat, battery.size());
+    EXPECT_GT(memo.stats().get("solver.model_cache_hits"), 0u);
+    EXPECT_EQ(memo.stats().get("solver.model_cache_hits"),
+              ref.stats().get("solver.model_cache_hits"));
+
+    // Push the memo past its cap with distinct roots: it clears
+    // wholesale, and the same battery must answer the same again.
+    ExprRef w = b.var("w", 32);
+    bool cleared = false;
+    for (uint64_t k = 0; k <= expr::VarSets::kMaxEntries; ++k) {
+        size_t before = memo.varSets().size();
+        memo.sliceIndependent({}, b.eq(w, b.constant(k, 32)));
+        cleared = cleared || memo.varSets().size() < before;
+    }
+    EXPECT_TRUE(cleared);
+    run_battery();
+    EXPECT_EQ(memo.stats().get("solver.sat_queries"),
+              ref.stats().get("solver.sat_queries"));
 }
 
 } // namespace

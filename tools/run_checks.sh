@@ -16,7 +16,9 @@
 #                                (solver + engine resilience paths and the
 #                                lifecycle suite's exactly-once resource
 #                                release: solver contexts and spill files,
-#                                and the WorkQueue idle-wait tests) plus
+#                                the WorkQueue idle-wait tests, and the
+#                                expression evaluator and variable-set
+#                                memo tests) plus
 #                                `ctest -L replay` there
 #   3. a ThreadSanitizer build — `ctest -L tsan` under build-tsan/
 #                                (parallel, incremental, lifecycle,
@@ -74,7 +76,7 @@ if [ ! -f "$asan_dir/CMakeCache.txt" ]; then
     cmake -B "$asan_dir" -S "$repo_root" -DS2E_SANITIZE=address || exit 1
 fi
 cmake --build "$asan_dir" -j "$jobs" \
-    --target test_sat test_solver test_engine test_lifecycle \
+    --target test_expr test_sat test_solver test_engine test_lifecycle \
     test_replay test_workqueue || exit 1
 (cd "$asan_dir" && ctest -L sanitize --output-on-failure) || status=1
 (cd "$asan_dir" && ctest -L lifecycle --output-on-failure) || status=1
