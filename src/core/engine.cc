@@ -48,7 +48,8 @@ struct Engine::WorkerContext {
         tbL1;
     uint64_t tbGeneration = 0;
     double busySeconds = 0;
-    uint64_t statesRetired = 0;
+    /** Engine::asyncKills_ as of this worker's last sweep. */
+    uint64_t asyncKillsSeen = 0;
 };
 
 thread_local Engine::WorkerContext *Engine::tlsWorker_ = nullptr;
@@ -188,6 +189,7 @@ Engine::Engine(vm::MachineConfig machine, EngineConfig config)
     // Worker solvers clone their options from config_ — keep it in
     // sync with the sanitized set the engine solver received.
     config_.solverOptions = effectiveSolverOptions(config);
+    config_.numWorkers = std::max(1u, config_.numWorkers);
 
     // Register every per-event counter once; the run loop then updates
     // them through plain pointers (no string build, no map lookup).
@@ -291,8 +293,7 @@ Engine::Engine(vm::MachineConfig machine, EngineConfig config)
     initial->mem.loadProgram(machine_.program);
     initial->cpu.pc = machine_.program.entry;
     states_.push_back(std::move(initial));
-    active_.push_back(states_.back().get());
-    Stats::raiseTo(*hot_.maxActiveStates, active_.size());
+    addActive(*states_.back());
     // Root checkpoint: freezes the loaded program image, so the first
     // fork's page delta is empty and a spilled never-forked state
     // serializes only what it wrote after load.
@@ -309,9 +310,29 @@ Engine::setSearcher(std::unique_ptr<Searcher> searcher)
 {
     S2E_ASSERT(searcher != nullptr, "null searcher");
     std::lock_guard<std::mutex> lock(statesMutex_);
+    std::lock_guard<std::mutex> searcher_lock(searcherMutex_);
     searcher_ = std::move(searcher);
     for (ExecutionState *s : active_)
         searcher_->stateAdded(*s);
+}
+
+void
+Engine::addActive(ExecutionState &state)
+{
+    state.activeSlot = active_.size();
+    active_.push_back(&state);
+    Stats::raiseTo(*hot_.maxActiveStates, active_.size());
+}
+
+void
+Engine::removeActive(ExecutionState &state)
+{
+    size_t slot = state.activeSlot;
+    S2E_ASSERT(slot < active_.size() && active_[slot] == &state,
+               "state %d is not in the active set", state.id());
+    active_[slot] = active_.back();
+    active_[slot]->activeSlot = slot;
+    active_.pop_back();
 }
 
 ExecutionState &
@@ -407,23 +428,21 @@ Engine::fetchBlock(ExecutionState &state)
     // only exist for blocks on never-written pages, and the whole L1
     // is dropped when the shared cache's generation moves (another
     // state invalidated translations).
-    WorkerContext *w = tlsWorker_;
-    if (w) {
-        uint64_t gen = tbCache_.generation();
-        if (gen != w->tbGeneration) {
-            w->tbL1.clear();
-            w->tbGeneration = gen;
-        }
-        auto it = w->tbL1.find(state.cpu.pc);
-        if (it != w->tbL1.end())
-            return it->second;
+    WorkerContext &w = *tlsWorker_;
+    uint64_t gen = tbCache_.generation();
+    if (gen != w.tbGeneration) {
+        w.tbL1.clear();
+        w.tbGeneration = gen;
     }
+    auto it = w.tbL1.find(state.cpu.pc);
+    if (it != w.tbL1.end())
+        return it->second;
 
     bool clean = false;
     auto tb = tbCache_.lookup(state.cpu.pc, reader, &clean);
     if (tb) {
-        if (w && clean)
-            w->tbL1.emplace(state.cpu.pc, tb);
+        if (clean)
+            w.tbL1.emplace(state.cpu.pc, tb);
         return tb;
     }
 
@@ -465,8 +484,8 @@ Engine::fetchBlock(ExecutionState &state)
     // Canonical insert: if another worker raced us to translate this
     // pc, adopt its block so every worker executes the same object.
     tb = tbCache_.insert(tb, reader, &clean);
-    if (w && clean)
-        w->tbL1.emplace(state.cpu.pc, tb);
+    if (clean)
+        w.tbL1.emplace(state.cpu.pc, tb);
     return tb;
 }
 
@@ -611,10 +630,15 @@ Engine::killState(ExecutionState &state, StateStatus status,
     std::lock_guard<std::mutex> lock(killMutex_);
     if (!state.isActive())
         return;
-    if (&state != tl_executing)
+    bool async = &state != tl_executing;
+    if (async)
         state.killedAsync = true;
     state.statusMessage = message;
     state.setStatus(status);
+    // Published after the status: a worker that sees the count move
+    // also sees the state inactive when it sweeps.
+    if (async)
+        asyncKills_.fetch_add(1);
 }
 
 void
@@ -703,7 +727,7 @@ Engine::fork(ExecutionState &state, ExprRef condition)
         // The child's path id is derived from the parent's, not from
         // the runtime state id: "<parent>.<k>" for the parent's k-th
         // fork. This keeps path identity independent of worker
-        // scheduling so serial and parallel runs name paths alike.
+        // scheduling so runs at every worker count name paths alike.
         // Re-checkpoint the parent right before cloning: both sides
         // then share one frozen snapshot (pages + constraint prefix)
         // and start with an empty delta, so a later spill of either
@@ -715,17 +739,19 @@ Engine::fork(ExecutionState &state, ExprRef condition)
                          std::to_string(fork_seq));
         child_ptr = child.get();
         states_.push_back(std::move(child));
-        active_.push_back(child_ptr);
-        Stats::raiseTo(*hot_.maxActiveStates, active_.size());
-        searcher_->stateAdded(*child_ptr);
+        addActive(*child_ptr);
+        {
+            std::lock_guard<std::mutex> searcher_lock(searcherMutex_);
+            searcher_->stateAdded(*child_ptr);
+        }
         residentInc();
     }
     Stats::bump(*hot_.forks);
     // Publish the child's footprint right away: a forked state
     // consumes memory while it waits in the queue, and short-lived
     // paths may retire within their first slice — without this the
-    // parallel governor would only ever see states that survived a
-    // requeue and the resident cap could never trip.
+    // governor would only ever see states that survived a requeue and
+    // the resident cap could never trip.
     accountStateMemory(*child_ptr);
 
     // Signal dispatch stays on the forking worker: plugins see the
@@ -733,20 +759,19 @@ Engine::fork(ExecutionState &state, ExprRef condition)
     ForkInfo info{&state, child_ptr, condition};
     events_.onExecutionFork.emit(info);
 
-    // In parallel mode the child must NOT become runnable yet: the
-    // caller still diverges it after fork() returns (handleBranch adds
-    // the negated constraint and the fallthrough pc; plugins inject
-    // failure values). Publishing now would let another worker steal a
+    // The child must NOT become runnable yet: the caller still
+    // diverges it after fork() returns (handleBranch adds the negated
+    // constraint and the fallthrough pc; plugins inject failure
+    // values). Publishing now would let another worker steal a
     // half-built state. Park it on the forking *state's* pending list
     // (fork parents are always the currently-executing state, so only
-    // the owning worker touches it); the engine flushes at the next
-    // block boundary, after the caller's mutations are complete.
-    if (queue_) {
-        if (tlsWorker_)
-            state.pendingChildren.push_back(child_ptr);
-        else
-            queue_->add(0, child_ptr);
-    }
+    // the owning worker touches it); the worker publishes it at the
+    // next block boundary, after the caller's mutations are complete.
+    // A fork outside a round (plugin setup before run(), the merge
+    // barrier) leaves the child in the active set, which seeds the
+    // next round.
+    if (tlsWorker_)
+        state.pendingChildren.push_back(child_ptr);
     return child_ptr;
 }
 
@@ -1655,8 +1680,8 @@ Engine::symName(ExecutionState &state, const std::string &base)
 {
     // Scope every symbolic-value name by the state's deterministic
     // path id and a per-state sequence number. Names — unlike global
-    // counters — then depend only on the path's own history, so serial
-    // and parallel runs build byte-identical expressions.
+    // counters — then depend only on the path's own history, so runs
+    // at every worker count build byte-identical expressions.
     return strprintf("%s@%s#%llu", base.c_str(), state.pathId().c_str(),
                      static_cast<unsigned long long>(state.nextSymSeq()));
 }
@@ -1773,36 +1798,27 @@ Engine::replaySubstitute(ExecutionState &state, replay::SiteKind kind,
 }
 
 void
-Engine::finishState(ExecutionState &state)
-{
-    events_.onStateKill.emit(state);
-    searcher_->stateRemoved(state);
-    releaseStateResources(state);
-}
-
-void
 Engine::retireState(ExecutionState &state)
 {
-    // Parallel-mode counterpart of the serial sweep: drop the state
-    // from active_ under the mutex, then fire the kill event outside
-    // it (plugins may call back into activeStates()).
+    // Drop the state from active_ under the mutex, then fire the kill
+    // event outside it (plugins may call back into activeStates()).
     {
         std::lock_guard<std::mutex> lock(statesMutex_);
-        auto it = std::find(active_.begin(), active_.end(), &state);
-        if (it != active_.end())
-            active_.erase(it);
+        removeActive(state);
+        std::lock_guard<std::mutex> searcher_lock(searcherMutex_);
         searcher_->stateRemoved(state);
     }
     events_.onStateKill.emit(state);
     releaseStateResources(state);
+    accountStateMemory(state);
 }
 
 void
 Engine::accountStateMemory(ExecutionState &state)
 {
-    // Each loop maintains the pool-wide footprint by publishing the
-    // delta of the one state it just ran, forked or retired, so the
-    // cost is per state touched, not per active state.
+    // Workers maintain the pool-wide footprint by publishing the delta
+    // of the one state they just ran, forked or retired, so the cost
+    // is per state touched, not per active state.
     uint64_t now_bytes = state.isActive() ? state.memoryFootprint() : 0;
     uint64_t prev = state.accountedBytes;
     state.accountedBytes = now_bytes;
@@ -1829,9 +1845,9 @@ Engine::residentDec()
 void
 Engine::releaseStateResources(ExecutionState &state)
 {
-    // Exactly-once terminal release: finishState (serial sweep),
-    // retireState (parallel) and the merge/park drain all funnel here,
-    // and a state killed while spilled must still delete its image.
+    // Exactly-once terminal release: retireState and the merge/park
+    // drain both funnel here, and a state killed while spilled must
+    // still delete its image.
     if (state.resourcesReleased)
         return;
     state.resourcesReleased = true;
@@ -1911,54 +1927,19 @@ Engine::restoreState(ExecutionState &state)
 }
 
 void
-Engine::governResident()
-{
-    if (!config_.maxResidentBytes)
-        return;
-    uint64_t total = 0;
-    std::vector<ExecutionState *> candidates;
-    for (ExecutionState *s : active_) {
-        if (s->spilled)
-            continue;
-        total += s->memoryFootprint();
-        if (!s->spillPinned)
-            candidates.push_back(s);
-    }
-    if (total <= config_.maxResidentBytes)
-        return;
-    // Coldest first: the least recently scheduled state is the one a
-    // depth-first searcher will touch last, so spilling it defers the
-    // restore as long as possible. Ties break on id for determinism.
-    std::sort(candidates.begin(), candidates.end(),
-              [](const ExecutionState *a, const ExecutionState *b) {
-                  if (a->lastScheduledTick != b->lastScheduledTick)
-                      return a->lastScheduledTick < b->lastScheduledTick;
-                  return a->id() < b->id();
-              });
-    for (ExecutionState *s : candidates) {
-        if (total <= config_.maxResidentBytes)
-            break;
-        uint64_t before = s->memoryFootprint();
-        if (spillState(*s))
-            total = total - before + s->memoryFootprint();
-    }
-}
-
-void
 Engine::parkForMerge(ExecutionState &state)
 {
     {
         std::lock_guard<std::mutex> lock(statesMutex_);
-        auto it = std::find(active_.begin(), active_.end(), &state);
-        if (it != active_.end())
-            active_.erase(it);
+        removeActive(state);
+        std::lock_guard<std::mutex> searcher_lock(searcherMutex_);
         searcher_->stateRemoved(state);
     }
     std::lock_guard<std::mutex> lock(mergeMutex_);
     mergePool_[state.cpu.pc].push_back(&state);
 }
 
-size_t
+void
 Engine::drainMergePool()
 {
     std::map<uint32_t, std::vector<ExecutionState *>> pool;
@@ -1966,7 +1947,6 @@ Engine::drainMergePool()
         std::lock_guard<std::mutex> lock(mergeMutex_);
         pool.swap(mergePool_);
     }
-    size_t reactivated = 0;
     for (auto &[pc, group] : pool) {
         // Deterministic fold order regardless of how workers
         // interleaved arrivals: sort by path id, merge left.
@@ -2022,13 +2002,11 @@ Engine::drainMergePool()
         for (ExecutionState *surv : survivors) {
             surv->atMergePoint = false;
             std::lock_guard<std::mutex> lock(statesMutex_);
-            active_.push_back(surv);
-            Stats::raiseTo(*hot_.maxActiveStates, active_.size());
+            addActive(*surv);
+            std::lock_guard<std::mutex> searcher_lock(searcherMutex_);
             searcher_->stateAdded(*surv);
-            reactivated++;
         }
     }
-    return reactivated;
 }
 
 void
@@ -2051,11 +2029,11 @@ Engine::killParkedStates()
 }
 
 void
-Engine::flushPendingChildren(ExecutionState &state)
+Engine::flushPendingChildren(ExecutionState &state, WorkQueue &queue,
+                             unsigned worker)
 {
     if (state.pendingChildren.empty())
         return;
-    unsigned wid = tlsWorker_ ? tlsWorker_->id : 0;
     for (ExecutionState *child : state.pendingChildren) {
         // Over-cap spill at publish time: the child is fully diverged
         // but not yet visible to other workers, so this is the one
@@ -2070,7 +2048,7 @@ Engine::flushPendingChildren(ExecutionState &state)
             if (spillState(*child))
                 accountStateMemory(*child);
         }
-        queue_->add(wid, child);
+        queue.add(worker, child);
     }
     state.pendingChildren.clear();
 }
@@ -2078,265 +2056,59 @@ Engine::flushPendingChildren(ExecutionState &state)
 RunResult
 Engine::run()
 {
-    if (config_.numWorkers <= 1)
-        return runSerial();
-    return runParallel();
-}
-
-RunResult
-Engine::runSerial()
-{
-    RunResult result;
-    auto start = std::chrono::steady_clock::now();
-    uint64_t start_instr = Stats::read(*hot_.instructions);
-
-    // Outer loop: the merge barrier. The inner loop drains the active
-    // set; when it empties while states sit parked at merge points
-    // (no other state can still arrive — nothing is running), the
-    // pool is folded and the survivors re-enter the active set.
-    while (true) {
-        while (!active_.empty()) {
-            double elapsed =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - start)
-                    .count();
-            uint64_t executed =
-                Stats::read(*hot_.instructions) - start_instr;
-            if ((config_.maxWallSeconds > 0 &&
-                 elapsed > config_.maxWallSeconds) ||
-                (config_.maxInstructions > 0 &&
-                 executed > config_.maxInstructions)) {
-                result.budgetExhausted = true;
-                for (ExecutionState *s : active_)
-                    killState(*s, StateStatus::BudgetExceeded,
-                              "run budget");
-            }
-
-            if (!result.budgetExhausted) {
-                ExecutionState *state = searcher_->select(active_);
-                S2E_ASSERT(state && state->isActive(),
-                           "searcher returned inactive state");
-                state->lastScheduledTick =
-                    scheduleTick_.fetch_add(
-                        1, std::memory_order_relaxed) +
-                    1;
-                // A spilled state restores transparently when it is
-                // scheduled; on restore failure it is already killed
-                // and the sweep below retires it.
-                if (!state->spilled || restoreState(*state)) {
-                    // Give the solver this path's incremental-context
-                    // slot for the duration of the timeslice (created
-                    // lazily on the first SAT-reaching query, reused
-                    // across queries).
-                    solver_.bindPathContext(&state->solverCtx);
-                    tl_executing = state;
-                    uint64_t instr_before = state->instrCount;
-                    for (unsigned i = 0; i < config_.timesliceBlocks &&
-                                         state->isActive();
-                         ++i) {
-                        if (!executeBlock(*state))
-                            break;
-                        if (state->atMergePoint)
-                            break;
-                    }
-                    tl_executing = nullptr;
-                    solver_.bindPathContext(nullptr);
-                    Stats::bump(*hot_.instructions,
-                                state->instrCount - instr_before);
-                    if (state->isActive() && state->atMergePoint)
-                        parkForMerge(*state);
-                }
-                accountStateMemory(*state);
-            }
-
-            // Sweep terminated states.
-            size_t w = 0;
-            for (size_t r = 0; r < active_.size(); ++r) {
-                if (active_[r]->isActive()) {
-                    active_[w++] = active_[r];
-                } else {
-                    finishState(*active_[r]);
-                    accountStateMemory(*active_[r]);
-                }
-            }
-            active_.resize(w);
-            governResident();
-        }
-        if (result.budgetExhausted) {
-            killParkedStates();
-            break;
-        }
-        if (drainMergePool() == 0)
-            break;
-    }
-
-    finalizeResult(result, start, start_instr);
-    return result;
-}
-
-RunResult
-Engine::runParallel()
-{
     RunResult result;
     auto start = std::chrono::steady_clock::now();
     uint64_t start_instr = Stats::read(*hot_.instructions);
     unsigned n = config_.numWorkers;
 
-    workers_.clear();
+    std::vector<std::unique_ptr<WorkerContext>> workers;
     for (unsigned i = 0; i < n; ++i) {
-        workers_.push_back(
+        workers.push_back(
             std::make_unique<WorkerContext>(i, builder_, config_));
         // Fault injection (if configured) applies pool-wide.
-        workers_.back()->solver.setFaultPolicy(solver_.faultPolicy());
+        workers.back()->solver.setFaultPolicy(solver_.faultPolicy());
     }
+    budgetExhausted_.store(false, std::memory_order_relaxed);
 
-    stopFlag_.store(false, std::memory_order_relaxed);
-    budgetExhaustedFlag_.store(false, std::memory_order_relaxed);
-
-    // Round loop: one worker-pool round drains every runnable state to
-    // termination or a merge point. Between rounds every thread has
-    // joined — nothing executes, so arrival at each merge pc is
-    // complete and the pool can be folded exactly like the serial
-    // barrier. Runs that never hit a merge point take one round.
-    while (true) {
+    // Round loop: one round runs every active state to termination or
+    // a merge point. Between rounds every worker has returned and
+    // nothing executes, so arrival at each merge pc is complete and
+    // the parked states can be merged; the survivors seed the next
+    // round. Runs that never hit a merge point take one round.
+    while (!active_.empty()) {
         WorkQueue queue(n);
-        {
-            std::lock_guard<std::mutex> lock(statesMutex_);
-            for (size_t i = 0; i < active_.size(); ++i)
-                queue.add(static_cast<unsigned>(i % n), active_[i]);
-        }
-        queue_ = &queue;
+        for (size_t i = 0; i < active_.size(); ++i)
+            queue.add(static_cast<unsigned>(i % n), active_[i]);
 
+        // Worker 0 is this thread: a 1-worker run starts no thread.
         std::vector<std::thread> threads;
-        threads.reserve(n);
-        for (unsigned i = 0; i < n; ++i)
-            threads.emplace_back([this, i, &queue, start, start_instr] {
-                workerLoop(i, queue, start, start_instr);
+        for (unsigned i = 1; i < n; ++i)
+            threads.emplace_back([this, &w = *workers[i], &queue, start,
+                                  start_instr] {
+                workerLoop(w, queue, start, start_instr);
             });
+        workerLoop(*workers[0], queue, start, start_instr);
         for (std::thread &t : threads)
             t.join();
-        queue_ = nullptr;
 
-        if (budgetExhaustedFlag_.load(std::memory_order_relaxed)) {
+        if (budgetExhausted_.load(std::memory_order_relaxed)) {
             killParkedStates();
             break;
         }
-        if (drainMergePool() == 0)
-            break;
+        drainMergePool();
     }
 
     // Workers are quiescent: fold their telemetry into the engine-level
     // profiler and solver stats so reports aggregate the whole pool.
     result.workers = n;
-    for (auto &w : workers_) {
+    for (auto &w : workers) {
         profiler_.mergeFrom(w->profiler);
-        solver_.stats().mergeFrom(w->solver.stats());
+        solver_.mergeFrom(w->solver);
         result.workerBusySeconds.push_back(w->busySeconds);
     }
-    workers_.clear();
 
     result.budgetExhausted =
-        budgetExhaustedFlag_.load(std::memory_order_relaxed);
-    finalizeResult(result, start, start_instr);
-    return result;
-}
-
-void
-Engine::workerLoop(unsigned wid, WorkQueue &queue,
-                   std::chrono::steady_clock::time_point start,
-                   uint64_t start_instr)
-{
-    WorkerContext &w = *workers_[wid];
-    tlsWorker_ = &w;
-    while (ExecutionState *state = queue.take(wid)) {
-        auto slice_start = std::chrono::steady_clock::now();
-        state->lastScheduledTick =
-            scheduleTick_.fetch_add(1, std::memory_order_relaxed) + 1;
-        if (stopFlag_.load(std::memory_order_acquire)) {
-            killState(*state, StateStatus::BudgetExceeded, "run budget");
-        } else if (state->spilled && !restoreState(*state)) {
-            // Restore failed beyond all retries: the state is already
-            // killed with SpillFailure and retires below like any
-            // other terminated state.
-        } else {
-            // Bind the state's incremental-context slot to this worker's
-            // solver for the slice. Unbinding before the state is
-            // re-queued matters: once put back, another worker may
-            // steal the state (and the context with it).
-            w.solver.bindPathContext(&state->solverCtx);
-            tl_executing = state;
-            uint64_t instr_before = state->instrCount;
-            for (unsigned i = 0;
-                 i < config_.timesliceBlocks && state->isActive(); ++i) {
-                // Children forked during a block become runnable only
-                // from the next block boundary on (their setup
-                // completes after fork() returns). Publishing before
-                // finish() below keeps the queue's pending count from
-                // hitting zero while an unpublished child exists.
-                bool running = executeBlock(*state);
-                flushPendingChildren(*state);
-                if (!running || state->atMergePoint)
-                    break;
-            }
-            tl_executing = nullptr;
-            w.solver.bindPathContext(nullptr);
-            Stats::bump(*hot_.instructions,
-                        state->instrCount - instr_before);
-
-            // Budget check after every completed slice: latches the
-            // pool-wide stop flag.
-            double elapsed = std::chrono::duration<double>(
-                                 std::chrono::steady_clock::now() - start)
-                                 .count();
-            uint64_t executed =
-                Stats::read(*hot_.instructions) - start_instr;
-            if ((config_.maxWallSeconds > 0 &&
-                 elapsed > config_.maxWallSeconds) ||
-                (config_.maxInstructions > 0 &&
-                 executed > config_.maxInstructions)) {
-                budgetExhaustedFlag_.store(true, std::memory_order_relaxed);
-                stopFlag_.store(true, std::memory_order_release);
-            }
-        }
-        accountStateMemory(*state);
-        w.busySeconds +=
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - slice_start)
-                .count();
-        flushPendingChildren(*state); // forks from kill-path handlers
-        if (!state->isActive()) {
-            retireState(*state);
-            w.statesRetired++;
-            queue.finish();
-        } else if (state->atMergePoint) {
-            // Out of the schedulable set until the round joins; the
-            // barrier then merges it or hands it to the next round.
-            parkForMerge(*state);
-            queue.finish();
-        } else {
-            // Over-cap self-spill before requeueing: the owner drops
-            // its own state's payload. Requeued-cold states sink to
-            // the front of the shard (steal side), so spilling at
-            // requeue time approximates coldest-first without a
-            // global sort.
-            if (config_.maxResidentBytes && !state->spilled &&
-                !state->spillPinned &&
-                currentMemBytes_.load(std::memory_order_relaxed) >
-                    config_.maxResidentBytes) {
-                if (spillState(*state))
-                    accountStateMemory(*state);
-            }
-            queue.put(wid, state);
-        }
-    }
-    tlsWorker_ = nullptr;
-}
-
-void
-Engine::finalizeResult(RunResult &result,
-                       std::chrono::steady_clock::time_point start,
-                       uint64_t start_instr)
-{
+        budgetExhausted_.load(std::memory_order_relaxed);
     result.wallSeconds = std::chrono::duration<double>(
                              std::chrono::steady_clock::now() - start)
                              .count();
@@ -2384,6 +2156,116 @@ Engine::finalizeResult(RunResult &result,
         Stats::read(*hot_.witnessExtractFailures);
     result.witnessesSkipped = Stats::read(*hot_.witnessesSkipped);
     result.replayDivergences = Stats::read(*hot_.replayDivergences);
+    return result;
+}
+
+void
+Engine::workerLoop(WorkerContext &w, WorkQueue &queue,
+                   std::chrono::steady_clock::time_point start,
+                   uint64_t start_instr)
+{
+    tlsWorker_ = &w;
+    // The Searcher picks within this worker's shard, once per slice.
+    auto pick = [this](const std::vector<ExecutionState *> &shard) {
+        std::lock_guard<std::mutex> lock(searcherMutex_);
+        return searcher_->select(shard);
+    };
+    std::vector<ExecutionState *> leaving;
+    auto retire_leaving = [this, &leaving] {
+        for (ExecutionState *s : leaving)
+            retireState(*s);
+        leaving.clear();
+    };
+    while (ExecutionState *state = queue.take(w.id, pick)) {
+        auto slice_start = std::chrono::steady_clock::now();
+        // A spilled state restores transparently when it is picked; on
+        // restore failure it is already killed and retires below.
+        if (state->isActive() &&
+            !budgetExhausted_.load(std::memory_order_acquire) &&
+            (!state->spilled || restoreState(*state))) {
+            // Bind the state's incremental-context slot to this
+            // worker's solver for the slice. Unbinding before the state
+            // is released matters: another worker may then steal the
+            // state (and the context with it).
+            w.solver.bindPathContext(&state->solverCtx);
+            tl_executing = state;
+            uint64_t instr_before = state->instrCount;
+            for (unsigned i = 0;
+                 i < config_.timesliceBlocks && state->isActive(); ++i) {
+                // Children forked during a block become runnable only
+                // from the next block boundary on (their setup
+                // completes after fork() returns). Publishing before
+                // the parent can leave the queue keeps its pending
+                // count from hitting zero while an unpublished child
+                // exists.
+                bool running = executeBlock(*state);
+                flushPendingChildren(*state, queue, w.id);
+                if (!running || state->atMergePoint)
+                    break;
+            }
+            tl_executing = nullptr;
+            w.solver.bindPathContext(nullptr);
+            Stats::bump(*hot_.instructions,
+                        state->instrCount - instr_before);
+        }
+        accountStateMemory(*state);
+        // Forks from kill-path handlers.
+        flushPendingChildren(*state, queue, w.id);
+
+        bool parked = state->isActive() && state->atMergePoint;
+        if (parked) {
+            // Out of the schedulable set until the round ends; the
+            // barrier then merges it or hands it to the next round.
+            queue.finish(w.id);
+            parkForMerge(*state);
+        }
+        // Terminated states leave the shard before the next pick, in
+        // slot order: the state that just ran and, once another
+        // path's plugin killed any, every state of the shard.
+        uint64_t kills = asyncKills_.load();
+        if (kills != w.asyncKillsSeen) {
+            w.asyncKillsSeen = kills;
+            queue.sweep(
+                w.id, [](ExecutionState *s) { return !s->isActive(); },
+                leaving);
+        } else if (!parked && !state->isActive()) {
+            queue.finish(w.id);
+            leaving.push_back(state);
+        }
+        retire_leaving();
+
+        double elapsed = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start)
+                             .count();
+        uint64_t executed = Stats::read(*hot_.instructions) - start_instr;
+        if ((config_.maxWallSeconds > 0 &&
+             elapsed > config_.maxWallSeconds) ||
+            (config_.maxInstructions > 0 &&
+             executed > config_.maxInstructions))
+            budgetExhausted_.store(true, std::memory_order_release);
+        if (budgetExhausted_.load(std::memory_order_acquire)) {
+            // Every worker kills its whole shard, then retires it.
+            queue.sweep(
+                w.id, [](ExecutionState *) { return true; }, leaving);
+            for (ExecutionState *s : leaving)
+                killState(*s, StateStatus::BudgetExceeded, "run budget");
+            retire_leaving();
+        } else if (state->isActive() && !parked &&
+                   config_.maxResidentBytes && !state->spilled &&
+                   !state->spillPinned &&
+                   currentMemBytes_.load(std::memory_order_relaxed) >
+                       config_.maxResidentBytes) {
+            // Over-cap self-spill before the state becomes stealable
+            // again: the owner drops its own state's payload.
+            if (spillState(*state))
+                accountStateMemory(*state);
+        }
+        queue.put(w.id);
+        w.busySeconds += std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - slice_start)
+                             .count();
+    }
+    tlsWorker_ = nullptr;
 }
 
 } // namespace s2e::core

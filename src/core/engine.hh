@@ -43,7 +43,13 @@ namespace replay {
 class ReplayCursor;
 }
 
-/** Picks which state runs next (paper's priority-based selection). */
+/**
+ * Picks which state runs next (paper's priority-based selection). The
+ * engine asks it once per timeslice, with the calling worker's shard:
+ * that worker's states in insertion order (at one worker, every active
+ * state). One engine mutex serializes every call, so implementations
+ * need no locking of their own.
+ */
 class Searcher
 {
   public:
@@ -51,7 +57,7 @@ class Searcher
     virtual const char *name() const = 0;
     virtual void stateAdded(ExecutionState &state) { (void)state; }
     virtual void stateRemoved(ExecutionState &state) { (void)state; }
-    /** Select from a non-empty active set. */
+    /** Select from a non-empty shard. */
     virtual ExecutionState *
     select(const std::vector<ExecutionState *> &active) = 0;
 };
@@ -84,11 +90,13 @@ struct EngineConfig {
     unsigned timesliceBlocks = 64;
 
     /**
-     * Exploration worker threads. 1 (the default) runs the original
-     * single-threaded loop with the engine-level Searcher; >1 spawns a
-     * worker pool draining a work-stealing queue of ready states, with
-     * per-worker solvers and profilers. Path *results* are identical
-     * either way (see tests/test_parallel.cc); only scheduling order
+     * Exploration worker threads. Every run is a worker pool: each
+     * worker owns a shard of ready states, its own solver and
+     * profiler, and asks the Searcher which state of its shard runs
+     * next; a worker with an empty shard steals the oldest state of
+     * another. Worker 0 is the thread that calls run(), so 1 (the
+     * default) starts no thread. Path *results* are identical at every
+     * count (see tests/test_parallel.cc); only scheduling order
      * differs.
      */
     unsigned numWorkers = 1;
@@ -112,10 +120,10 @@ struct EngineConfig {
     /**
      * Memory-governor cap on the summed engine-accounted footprint
      * (ExecutionState::memoryFootprint) of resident states; 0 keeps
-     * everything resident. Over the cap, the coldest states (by last
-     * scheduling tick) are serialized to the spill store and their
-     * memory dropped; a spilled state restores transparently the next
-     * time it is scheduled.
+     * everything resident. Over the cap, a fork child is serialized to
+     * the spill store when it is published, and a state that just ran
+     * spills itself before it is requeued; a spilled state restores
+     * transparently the next time it is scheduled.
      */
     uint64_t maxResidentBytes = 0;
 
@@ -207,11 +215,11 @@ struct RunResult {
     uint64_t replayDivergences = 0;
     bool budgetExhausted = false;
     double wallSeconds = 0;
-    /** Worker pool size used by the run (1 = serial loop). */
+    /** Worker pool size used by the run. */
     unsigned workers = 1;
     /** Per-worker busy wall-clock (executing states, not idling in the
      *  queue); workerBusySeconds[i] / wallSeconds is worker i's
-     *  utilization. Empty for serial runs. */
+     *  utilization. */
     std::vector<double> workerBusySeconds;
 };
 
@@ -228,10 +236,9 @@ class Engine
     Engine &operator=(const Engine &) = delete;
 
     ExprBuilder &builder() { return builder_; }
-    /** The calling thread's solver: a worker's own while it runs a
-     *  state in a parallel run (plugins query from worker threads, and
-     *  one Solver must never be shared between threads), the
-     *  engine-level one otherwise. */
+    /** The calling thread's solver: a worker's own during run()
+     *  (plugins query from worker threads, and one Solver must never be
+     *  shared between threads), the engine-level one otherwise. */
     solver::Solver &solver() { return curSolver(); }
     EventHub &events() { return events_; }
     Stats &stats() { return stats_; }
@@ -354,28 +361,28 @@ class Engine
      *  over the shared TbCache. Reached via tlsWorker_. */
     struct WorkerContext;
 
-    /** The executing worker's context; null on the serial path. */
+    /** The calling thread's worker context while it runs a round of
+     *  run(); null outside run() and between its rounds. */
     static thread_local WorkerContext *tlsWorker_;
 
-    /** Solver/profiler for the calling thread: the worker's own in a
-     *  parallel run, the engine-level ones otherwise. */
+    /** Solver/profiler for the calling thread: the worker's own inside
+     *  a round, the engine-level ones otherwise. */
     solver::Solver &curSolver();
     obs::PhaseProfiler &curProfiler();
 
-    RunResult runSerial();
-    RunResult runParallel();
-    void workerLoop(unsigned worker_id, WorkQueue &queue,
+    /** One worker's exploration loop over its shard of `queue`. */
+    void workerLoop(WorkerContext &w, WorkQueue &queue,
                     std::chrono::steady_clock::time_point start,
                     uint64_t start_instr);
-    void finalizeResult(RunResult &result,
-                        std::chrono::steady_clock::time_point start,
-                        uint64_t start_instr);
-    /** Incremental footprint accounting for both loops: the state's
-     *  owner publishes the change in its share of the pool-wide total
-     *  (an inactive state's share drops to 0) and raises the
-     *  watermark. */
+    /** Incremental footprint accounting: the state's owner publishes
+     *  the change in its share of the pool-wide total (an inactive
+     *  state's share drops to 0) and raises the watermark. */
     void accountStateMemory(ExecutionState &state);
-    /** Remove a finished state from active_ and emit its kill event. */
+    /** Active-set membership by stored slot (statesMutex_ held). */
+    void addActive(ExecutionState &state);
+    void removeActive(ExecutionState &state);
+    /** Drop a terminated state from the active set and the Searcher,
+     *  emit its kill event and release its resources. */
     void retireState(ExecutionState &state);
 
     /** Schedule-independent symbolic variable name:
@@ -411,9 +418,11 @@ class Engine
     /** Fork the state on `condition`; parent takes the true side. */
     ExecutionState *fork(ExecutionState &state, ExprRef condition);
 
-    /** Publish children forked during the last block(s) to the work
-     *  queue. Called at block boundaries and after each slice. */
-    void flushPendingChildren(ExecutionState &state);
+    /** Publish children forked during the last block(s) to worker
+     *  `worker`'s shard. Called at block boundaries and after each
+     *  slice. */
+    void flushPendingChildren(ExecutionState &state, WorkQueue &queue,
+                              unsigned worker);
 
     /** A must-answer solver query returned Unknown: kill the state
      *  with StateStatus::SolverFailure (never misreport as Unsat). */
@@ -436,8 +445,6 @@ class Engine
     void execS2Op(ExecutionState &state, const dbt::MicroOp &op,
                   const std::vector<Value> &temps, uint32_t instr_pc,
                   uint32_t next_pc, uint32_t *next_pc_out);
-
-    void finishState(ExecutionState &state);
 
     // --- Record/replay witnesses --------------------------------------
 
@@ -465,7 +472,7 @@ class Engine
     /**
      * Idempotent terminal-resource release: drops the incremental
      * solver context and deletes any spill image. Every termination
-     * path (finishState, retireState, merge absorption) funnels
+     * path (retireState, merge absorption, parked kills) funnels
      * through here exactly once per state, so neither resource can
      * leak or be double-released — including states killed while
      * spilled.
@@ -480,21 +487,18 @@ class Engine
      *  state is killed with StateStatus::SpillFailure; returns false. */
     bool restoreState(ExecutionState &state);
 
-    /** Serial-mode governor: spill coldest states until under cap. */
-    void governResident();
-
     /** Park a state that hit an s2e_merge point (drops it from the
      *  active set until the merge barrier drains). */
     void parkForMerge(ExecutionState &state);
 
     /**
-     * Merge barrier: called only when no state is executing (serial
-     * loop idle / parallel round joined), so arrival at each merge pc
-     * is complete. Pools are drained in deterministic order (pc, then
-     * pathId), compatible siblings fold left into the survivor, and
-     * survivors are reactivated. Returns the number reactivated.
+     * Merge barrier: called only when no state is executing (a round
+     * of run() has joined), so arrival at each merge pc is complete.
+     * Pools are drained in deterministic order (pc, then pathId),
+     * compatible siblings fold left into the survivor, and survivors
+     * are reactivated.
      */
-    size_t drainMergePool();
+    void drainMergePool();
 
     /** Budget exhaustion with states parked at merge points: kill and
      *  release them (they are no longer in active_ or any queue). */
@@ -560,24 +564,31 @@ class Engine
     std::unique_ptr<Searcher> searcher_;
 
     // State bookkeeping. statesMutex_ guards states_/active_/
-    // nextStateId_ and searcher notifications; killMutex_ serializes
-    // the (rare) status transitions so a cross-thread kill cannot race
-    // the owner's own termination; mergeMutex_ guards mergePool_.
-    // Lock order: statesMutex_, killMutex_ and mergeMutex_ are all
-    // leaves — never hold two at once.
+    // nextStateId_; searcherMutex_ guards searcher_ and every call
+    // into it; killMutex_ serializes the (rare) status transitions so
+    // a cross-thread kill cannot race the owner's own termination;
+    // mergeMutex_ guards mergePool_. Lock order: searcherMutex_ is
+    // innermost — taken alone, or inside statesMutex_ (fork, retire,
+    // setSearcher) or a WorkQueue shard mutex (select); killMutex_ and
+    // mergeMutex_ are leaves; statesMutex_ and a shard mutex are never
+    // held together.
     mutable std::mutex statesMutex_;
+    std::mutex searcherMutex_;
     std::mutex killMutex_;
     std::mutex mergeMutex_;
     std::vector<std::unique_ptr<ExecutionState>> states_;
+    /** Unordered (removal swaps in the last slot); the order the
+     *  Searcher sees lives in the WorkQueue shards. */
     std::vector<ExecutionState *> active_;
     int nextStateId_ = 0;
 
-    // Parallel-run machinery (all quiescent on the serial path).
-    std::vector<std::unique_ptr<WorkerContext>> workers_;
-    WorkQueue *queue_ = nullptr; ///< non-null only inside runParallel
-    std::atomic<bool> stopFlag_{false};
-    std::atomic<bool> budgetExhaustedFlag_{false};
-    /** Sum of live states' accounted footprints (both loops). */
+    /** A run budget tripped: every worker kills its shard. */
+    std::atomic<bool> budgetExhausted_{false};
+    /** Kills of a state other than the killer's own running one; a
+     *  worker that sees it move sweeps its shard for terminated
+     *  states. */
+    std::atomic<uint64_t> asyncKills_{0};
+    /** Sum of live states' accounted footprints. */
     std::atomic<uint64_t> currentMemBytes_{0};
 
     // State-lifecycle machinery.
@@ -585,8 +596,6 @@ class Engine
     std::unique_ptr<lifecycle::SpillStore> spillStore_;
     /** States parked at s2e_merge points, keyed by merge pc. */
     std::map<uint32_t, std::vector<ExecutionState *>> mergePool_;
-    /** Monotonic scheduling clock feeding lastScheduledTick. */
-    std::atomic<uint64_t> scheduleTick_{0};
     /** Currently resident (unspilled) active states. */
     std::atomic<uint64_t> residentStates_{0};
 
@@ -594,7 +603,7 @@ class Engine
     // (emitWitnesses, feasible model, not replaying); witnessMutex_
     // guards witnesses_ (workers emit from their own termination
     // funnels). replayCursor_ is non-null only in replay mode, which
-    // is always serial.
+    // always runs one worker.
     bool recording_ = false;
     mutable std::mutex witnessMutex_;
     std::vector<std::shared_ptr<const replay::Witness>> witnesses_;

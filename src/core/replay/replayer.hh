@@ -14,7 +14,7 @@
  * the execution takes the recorded direction. The first mismatch
  * latches a divergence report; later sites never overwrite it.
  *
- * ReplayEngine wraps an Engine configured for replay (serial, solver
+ * ReplayEngine wraps an Engine configured for replay (one worker, solver
  * disconnected) and turns the run into a ReplayResult verdict.
  */
 
@@ -130,7 +130,7 @@ ReplayResult replayVerdict(Engine &engine);
  * A full replay harness around one Engine in replay mode. Build it,
  * re-apply the workload's setup calls (makeMemSymbolic etc. — replay
  * consumes them as substitution events) and plugins on engine(), then
- * run(). The engine is forced serial with witness emission off; a
+ * run(). The engine is forced to one worker with witness emission off; a
  * bare replay issues zero solver queries.
  */
 class ReplayEngine

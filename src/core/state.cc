@@ -51,7 +51,6 @@ ExecutionState::clone(int new_id) const
     // checkpoint ref is shared — the engine re-checkpoints the parent
     // right before cloning, so both sides start with an empty delta.
     child->checkpoint = checkpoint;
-    child->lastScheduledTick = lastScheduledTick;
     child->id_ = new_id;
     child->parentId_ = id_;
     child->forkDepth_ = forkDepth_ + 1;

@@ -148,8 +148,9 @@ class ExecutionState
      */
     std::shared_ptr<const lifecycle::Checkpoint> checkpoint;
 
-    /** Engine schedule ordinal when last picked (governor coldness). */
-    uint64_t lastScheduledTick = 0;
+    /** Index in the engine's active set, for O(1) removal (guarded by
+     *  the engine's state-registry mutex). */
+    size_t activeSlot = 0;
 
     /** Memory payload lives on disk (pages/constraints dropped). */
     bool spilled = false;

@@ -136,8 +136,8 @@ class PhaseProfiler
      * Fold a quiescent per-worker profiler's tallies into this one
      * (span counts and exclusive nanos add). After merging N workers
      * the summed phase seconds represent CPU time across the pool and
-     * may legitimately exceed one wall-clock; consumers normalize by
-     * wall * workers (see RunReport).
+     * may legitimately exceed one wall-clock; RunReport normalizes by
+     * wall * workers.
      */
     void
     mergeFrom(const PhaseProfiler &other)

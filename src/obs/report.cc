@@ -14,15 +14,18 @@ RunReport::captureEngine(core::Engine &engine, const core::RunResult &run)
     run_ = run;
     wallSeconds_ = run.wallSeconds;
 
+    // Phase seconds are pooled over the run's workers, so the time
+    // they can cover is workers × wall-clock.
     phases_.clear();
     const PhaseProfiler &prof = engine.profiler();
+    double pool_seconds = wallSeconds_ * run.workers;
     for (size_t i = 0; i < kNumPhases; ++i) {
         Phase p = static_cast<Phase>(i);
         PhaseRow row;
         row.name = phaseName(p);
         row.spans = prof.stat(p).spans;
         row.seconds = prof.seconds(p);
-        row.fraction = wallSeconds_ > 0 ? row.seconds / wallSeconds_ : 0;
+        row.fraction = pool_seconds > 0 ? row.seconds / pool_seconds : 0;
         phases_.push_back(row);
     }
 

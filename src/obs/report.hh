@@ -29,7 +29,8 @@ class RunReport
         std::string name;
         uint64_t spans = 0;
         double seconds = 0;
-        double fraction = 0; ///< of the run's wall time
+        /** Of the pool's time: workers × the run's wall time. */
+        double fraction = 0;
     };
 
     /** Terminal summary of one execution state. */
@@ -72,7 +73,8 @@ class RunReport
     double wallSeconds() const { return wallSeconds_; }
 
     /** Sum of all phase fractions (≤ 1.0 by construction: phases are
-     *  charged exclusively, see profiler.hh). */
+     *  charged exclusively per worker, see profiler.hh, and at most
+     *  `workers` threads run at once). */
     double phaseFractionSum() const;
 
     std::string toJson() const;

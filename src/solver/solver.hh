@@ -252,6 +252,15 @@ class Solver
     /** Queries issued since construction / the last setFaultPolicy. */
     uint64_t queryCount() const { return queryCounter_; }
 
+    /** Fold a quiescent solver's telemetry and query count into this
+     *  one (the engine folds its workers' solvers after a run). */
+    void
+    mergeFrom(Solver &other)
+    {
+        stats_.mergeFrom(other.stats_);
+        queryCounter_ += other.queryCounter_;
+    }
+
     Stats &stats() { return stats_; }
     const SolverOptions &options() const { return opts_; }
 

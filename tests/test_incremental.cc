@@ -25,40 +25,22 @@
 #include "guest/layout.hh"
 #include "guest/workloads.hh"
 #include "obs/forktree.hh"
-#include "vm/devices.hh"
-#include "vm/nic.hh"
+#include "support/differential.hh"
 
 namespace s2e::core {
 namespace {
 
+using difftest::differentialConfig;
+using difftest::machineFor;
+using difftest::stressSource;
 using guest::DriverKind;
 
-vm::MachineConfig
-machineFor(const std::string &source, uint32_t ram = guest::kRamSize,
-           bool loopback = false)
-{
-    vm::MachineConfig m;
-    m.ramSize = ram;
-    m.program = isa::assemble(source);
-    m.deviceSetup = [loopback](vm::DeviceSet &devices) {
-        devices.add(std::make_unique<vm::ConsoleDevice>());
-        devices.add(std::make_unique<vm::TimerDevice>());
-        auto nic = std::make_unique<vm::DmaNic>();
-        nic->setLoopback(loopback);
-        devices.add(std::move(nic));
-    };
-    return m;
-}
-
-/** No budgets (scheduling-dependent kills) and no model cache (hit
- *  patterns depend on query history, which differs between worker
- *  counts); useIncremental is the variable under test. */
+/** The differential configuration; useIncremental is the variable
+ *  under test. */
 EngineConfig
 configFor(unsigned workers, bool incremental)
 {
-    EngineConfig config;
-    config.numWorkers = workers;
-    config.solverOptions.useModelCache = false;
+    EngineConfig config = differentialConfig(workers);
     config.solverOptions.useIncremental = incremental;
     return config;
 }
@@ -170,55 +152,6 @@ runPing(unsigned workers, bool incremental)
     guest::setConfig(engine.initialState(), engine.builder(),
                      guest::kCfgCardType, 0);
     return finishRun(engine);
-}
-
-/** Nine independent symbolic branch bits: 512 paths, high SAT-query
- *  rate on every path — the context-reuse sweet spot. */
-const char *
-stressSource()
-{
-    return R"(
-        .entry main
-    main:
-        movi sp, 0x8000
-        s2e_symreg r1
-        movi r5, 0
-        testi r1, 1
-        jeq b1
-        ori r5, 1
-    b1: testi r1, 2
-        jeq b2
-        ori r5, 2
-    b2: testi r1, 4
-        jeq b3
-        ori r5, 4
-    b3: testi r1, 8
-        jeq b4
-        ori r5, 8
-    b4: testi r1, 16
-        jeq b5
-        ori r5, 16
-    b5: testi r1, 32
-        jeq b6
-        ori r5, 32
-    b6: testi r1, 64
-        jeq b7
-        ori r5, 64
-    b7: testi r1, 128
-        jeq b8
-        ori r5, 128
-    b8: testi r1, 256
-        jeq b9
-        ori r5, 256
-    b9: movi r3, 0
-        movi r4, 0
-    work:
-        add r3, r5
-        addi r4, 1
-        cmpi r4, 20
-        jne work
-        hlt
-    )";
 }
 
 RunOutcome

@@ -45,6 +45,7 @@
 #include "guest/kernel.hh"
 #include "guest/layout.hh"
 #include "guest/workloads.hh"
+#include "support/differential.hh"
 #include "support/rng.hh"
 #include "vm/devices.hh"
 #include "vm/nic.hh"
@@ -53,6 +54,11 @@ namespace s2e::core {
 namespace {
 
 namespace fs = std::filesystem;
+using difftest::differentialConfig;
+using difftest::expectSamePathSets;
+using difftest::memoryDigest;
+using difftest::pathFingerprints;
+using difftest::valueRepr;
 using lifecycle::SpillFaultPolicy;
 using lifecycle::StateSerializer;
 
@@ -83,103 +89,6 @@ baseFootprint(const vm::MachineConfig &m)
         m.deviceSetup(devices);
     ExecutionState probe(m.ramSize, devices);
     return probe.memoryFootprint();
-}
-
-/** Differential config: no budgets (scheduling-dependent kills) and
- *  no model cache (query-history-dependent answers). */
-EngineConfig
-differentialConfig(unsigned workers)
-{
-    EngineConfig config;
-    config.numWorkers = workers;
-    config.solverOptions.useModelCache = false;
-    return config;
-}
-
-std::string
-consoleOf(const ExecutionState &state)
-{
-    auto *console = state.devices.get<vm::ConsoleDevice>("console");
-    return console ? console->output() : "";
-}
-
-std::string
-valueRepr(const Value &v)
-{
-    if (v.isConcrete())
-        return strprintf("%x", v.concrete());
-    return v.expr()->toString();
-}
-
-uint64_t
-memoryDigest(const ExecutionState &state, ExprBuilder &builder)
-{
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint8_t byte) {
-        h ^= byte;
-        h *= 1099511628211ull;
-    };
-    for (uint32_t addr = 0; addr < state.mem.size(); ++addr) {
-        uint8_t byte = 0;
-        if (state.mem.readConcreteByte(addr, &byte)) {
-            mix(byte);
-        } else {
-            mix(0xFF);
-            for (char c : state.mem.byteExpr(addr, builder)->toString())
-                mix(static_cast<uint8_t>(c));
-        }
-    }
-    return h;
-}
-
-/** Per-path outcome fingerprint keyed by deterministic path id. */
-std::map<std::string, std::string>
-pathFingerprints(Engine &engine)
-{
-    std::map<std::string, std::string> out;
-    for (const auto &s : engine.allStates()) {
-        std::string fp = strprintf("status:%s exit:%u msg:%s\n",
-                                   stateStatusName(s->status), s->exitCode,
-                                   s->statusMessage.c_str());
-        fp += "console:" + consoleOf(*s) + "\n";
-        for (unsigned r = 0; r < isa::kNumRegs; ++r)
-            fp += strprintf("r%u:%s\n", r,
-                            valueRepr(s->cpu.regs[r]).c_str());
-        for (unsigned f = 0; f < 4; ++f)
-            fp += strprintf("f%u:%s\n", f,
-                            valueRepr(s->cpu.flags[f]).c_str());
-        // A state killed while spilled (SpillFailure, budget) has no
-        // pages to digest; its payload lives only in the dropped image.
-        if (s->spilled)
-            fp += "mem:<spilled>\n";
-        else
-            fp += strprintf("mem:%llx\n",
-                            static_cast<unsigned long long>(
-                                memoryDigest(*s, engine.builder())));
-        bool fresh = out.emplace(s->pathId(), std::move(fp)).second;
-        EXPECT_TRUE(fresh) << "duplicate path id " << s->pathId();
-    }
-    return out;
-}
-
-void
-expectSamePathSets(const std::map<std::string, std::string> &oracle,
-                   const std::map<std::string, std::string> &run,
-                   const std::string &what)
-{
-    EXPECT_EQ(oracle.size(), run.size()) << what << ": path count";
-    for (const auto &[path, fp] : oracle) {
-        auto it = run.find(path);
-        if (it == run.end()) {
-            ADD_FAILURE() << what << ": path " << path << " missing";
-            continue;
-        }
-        EXPECT_EQ(fp, it->second)
-            << what << ": path " << path << " diverged";
-    }
-    for (const auto &[path, fp] : run)
-        if (!oracle.count(path))
-            ADD_FAILURE() << what << ": path " << path << " extra";
 }
 
 /** 2^bits-path fork storm; each path grinds a tiny private loop.

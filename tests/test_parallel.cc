@@ -1,215 +1,73 @@
 /**
  * @file
- * Serial-vs-parallel differential suite: the parallel exploration
- * engine must produce exactly the same *set* of paths as the serial
- * loop — only scheduling order may differ. Every workload runs at
- * numWorkers ∈ {1, 2, 4} and the per-path outcomes (terminal status,
- * final registers and flags, a memory digest, console output and the
- * solver-generated test case) are compared keyed by the deterministic
- * path id. Also covers the canonical fork-tree property (a parallel
- * run's sorted `s2e.fork_tree.v1` JSON byte-matches the serial one)
- * and the relaxed-atomic Stats slots under thread contention.
+ * Worker-count differential suite: exploration must produce exactly
+ * the same *set* of paths at every worker count — only scheduling
+ * order may differ. Every workload runs at numWorkers ∈ {1, 2, 4} and
+ * the per-path outcomes (terminal status, final registers and flags, a
+ * memory digest, console output and the solver-generated test case)
+ * are compared keyed by the deterministic path id. Also covers the
+ * Searcher as each worker's pick policy (live at every worker count,
+ * pinned selection order at one worker), the canonical fork-tree
+ * property (a parallel run's sorted `s2e.fork_tree.v1` JSON
+ * byte-matches the 1-worker one) and the relaxed-atomic Stats slots
+ * under thread contention.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <map>
-#include <set>
+#include <memory>
 #include <thread>
 #include <vector>
 
 #include "core/engine.hh"
-#include "expr/eval.hh"
 #include "guest/drivers.hh"
 #include "guest/kernel.hh"
 #include "guest/layout.hh"
 #include "guest/workloads.hh"
 #include "obs/forktree.hh"
+#include "obs/report.hh"
+#include "plugins/searchers.hh"
+#include "support/differential.hh"
 #include "support/stats.hh"
-#include "vm/devices.hh"
-#include "vm/nic.hh"
+#include "tools/ddt.hh"
 
 namespace s2e::core {
 namespace {
 
+using difftest::differentialConfig;
+using difftest::expectSamePathSets;
+using difftest::machineFor;
+using difftest::pathFingerprints;
+using difftest::stressSource;
 using guest::DriverKind;
-
-vm::MachineConfig
-machineFor(const std::string &source, uint32_t ram = guest::kRamSize,
-           bool loopback = false)
-{
-    vm::MachineConfig m;
-    m.ramSize = ram;
-    m.program = isa::assemble(source);
-    m.deviceSetup = [loopback](vm::DeviceSet &devices) {
-        devices.add(std::make_unique<vm::ConsoleDevice>());
-        devices.add(std::make_unique<vm::TimerDevice>());
-        auto nic = std::make_unique<vm::DmaNic>();
-        nic->setLoopback(loopback);
-        devices.add(std::move(nic));
-    };
-    return m;
-}
-
-/**
- * Engine configuration for differential runs: no budgets (a budget
- * kills whichever paths happen to be alive when it trips, which is
- * scheduling-dependent) and no model cache (a cached model makes
- * getValue() answers depend on query history, which differs between
- * schedules).
- */
-EngineConfig
-differentialConfig(unsigned workers)
-{
-    EngineConfig config;
-    config.numWorkers = workers;
-    config.solverOptions.useModelCache = false;
-    return config;
-}
-
-std::string
-consoleOf(const ExecutionState &state)
-{
-    auto *console = state.devices.get<vm::ConsoleDevice>("console");
-    return console ? console->output() : "";
-}
-
-std::string
-valueRepr(const Value &v)
-{
-    if (v.isConcrete())
-        return strprintf("%x", v.concrete());
-    return v.expr()->toString();
-}
-
-void
-collectVars(ExprRef e, std::set<ExprRef> &visited,
-            std::map<std::string, ExprRef> &vars)
-{
-    if (!visited.insert(e).second)
-        return;
-    if (e->isVariable()) {
-        vars.emplace(e->name(), e);
-        return;
-    }
-    for (unsigned i = 0; i < e->arity(); ++i)
-        collectVars(e->kid(i), visited, vars);
-}
-
-/** FNV-1a over the full guest memory; symbolic bytes hash the
- *  rendered byte expression (variable names are deterministic). */
-uint64_t
-memoryDigest(const ExecutionState &state, ExprBuilder &builder)
-{
-    uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](uint8_t byte) {
-        h ^= byte;
-        h *= 1099511628211ull;
-    };
-    for (uint32_t addr = 0; addr < state.mem.size(); ++addr) {
-        uint8_t byte = 0;
-        if (state.mem.readConcreteByte(addr, &byte)) {
-            mix(byte);
-        } else {
-            mix(0xFF); // symbolic marker
-            for (char c : state.mem.byteExpr(addr, builder)->toString())
-                mix(static_cast<uint8_t>(c));
-        }
-    }
-    return h;
-}
-
-/** The solver-generated test case: one concrete value per variable
- *  referenced by the path constraints, sorted by variable name. */
-std::string
-testCaseOf(const ExecutionState &state, ExprBuilder &builder)
-{
-    std::map<std::string, ExprRef> vars;
-    std::set<ExprRef> visited;
-    for (ExprRef c : state.constraints)
-        collectVars(c, visited, vars);
-    if (vars.empty())
-        return "none";
-
-    solver::SolverOptions options;
-    options.useModelCache = false;
-    solver::Solver solver(builder, options);
-    expr::Assignment model;
-    auto outcome = solver.getInitialValues(state.constraints, &model);
-    if (!outcome.isSat())
-        return "unsat";
-    std::string out;
-    for (const auto &[name, var] : vars)
-        out += strprintf("%s=%llx,", name.c_str(),
-                         static_cast<unsigned long long>(
-                             model.lookup(var->varId())));
-    return out;
-}
-
-/**
- * Fingerprint every completed path of a finished run, keyed by the
- * schedule-independent path id. Two runs explored the same path set
- * iff the returned maps are equal.
- */
-std::map<std::string, std::string>
-pathFingerprints(Engine &engine)
-{
-    std::map<std::string, std::string> out;
-    for (const auto &s : engine.allStates()) {
-        std::string fp = strprintf("status:%s exit:%u msg:%s\n",
-                                   stateStatusName(s->status), s->exitCode,
-                                   s->statusMessage.c_str());
-        fp += "console:" + consoleOf(*s) + "\n";
-        for (unsigned r = 0; r < isa::kNumRegs; ++r)
-            fp += strprintf("r%u:%s\n", r,
-                            valueRepr(s->cpu.regs[r]).c_str());
-        for (unsigned f = 0; f < 4; ++f)
-            fp += strprintf("f%u:%s\n", f,
-                            valueRepr(s->cpu.flags[f]).c_str());
-        fp += strprintf("mem:%llx\n",
-                        static_cast<unsigned long long>(
-                            memoryDigest(*s, engine.builder())));
-        fp += "tc:" + testCaseOf(*s, engine.builder()) + "\n";
-        bool fresh = out.emplace(s->pathId(), std::move(fp)).second;
-        EXPECT_TRUE(fresh) << "duplicate path id " << s->pathId();
-    }
-    return out;
-}
-
-void
-expectSamePathSets(const std::map<std::string, std::string> &serial,
-                   const std::map<std::string, std::string> &parallel,
-                   unsigned workers)
-{
-    EXPECT_EQ(serial.size(), parallel.size())
-        << "path count diverged with " << workers << " workers";
-    for (const auto &[path, fp] : serial) {
-        auto it = parallel.find(path);
-        if (it == parallel.end()) {
-            ADD_FAILURE() << "path " << path << " missing with "
-                          << workers << " workers";
-            continue;
-        }
-        EXPECT_EQ(fp, it->second) << "path " << path
-                                  << " diverged with " << workers
-                                  << " workers";
-    }
-    for (const auto &[path, fp] : parallel)
-        if (!serial.count(path))
-            ADD_FAILURE() << "path " << path << " extra with "
-                          << workers << " workers";
-}
 
 constexpr unsigned kWorkerCounts[] = {2, 4};
 
+std::string
+workersLabel(unsigned workers)
+{
+    return strprintf("%u workers", workers);
+}
+
 // --- Workload runners ----------------------------------------------------
 
+/** Install `searcher` on `engine` unless it is null (keep the
+ *  default depth-first one). */
+void
+maybeSetSearcher(Engine &engine, std::unique_ptr<Searcher> searcher)
+{
+    if (searcher)
+        engine.setSearcher(std::move(searcher));
+}
+
 std::map<std::string, std::string>
-runLicense(unsigned workers)
+runLicense(unsigned workers, std::unique_ptr<Searcher> searcher = nullptr)
 {
     std::string src = guest::kernelSource() + guest::licenseCheckSource();
     Engine engine(machineFor(src), differentialConfig(workers));
+    maybeSetSearcher(engine, std::move(searcher));
     auto &state = engine.initialState();
     uint32_t key_addr = guest::addConfigString(state, engine.builder(), 0,
                                                "AAAAAAAA");
@@ -269,62 +127,38 @@ runPing(unsigned workers)
     return pathFingerprints(engine);
 }
 
-/** High-fork-rate stress: nine independent symbolic branch bits fork
- *  2^9 = 512 paths, each then doing a short private work loop. */
-const char *
-stressSource()
-{
-    return R"(
-        .entry main
-    main:
-        movi sp, 0x8000
-        s2e_symreg r1
-        movi r5, 0
-        testi r1, 1
-        jeq b1
-        ori r5, 1
-    b1: testi r1, 2
-        jeq b2
-        ori r5, 2
-    b2: testi r1, 4
-        jeq b3
-        ori r5, 4
-    b3: testi r1, 8
-        jeq b4
-        ori r5, 8
-    b4: testi r1, 16
-        jeq b5
-        ori r5, 16
-    b5: testi r1, 32
-        jeq b6
-        ori r5, 32
-    b6: testi r1, 64
-        jeq b7
-        ori r5, 64
-    b7: testi r1, 128
-        jeq b8
-        ori r5, 128
-    b8: testi r1, 256
-        jeq b9
-        ori r5, 256
-    b9: movi r3, 0
-        movi r4, 0
-    work:
-        add r3, r5
-        addi r4, 1
-        cmpi r4, 20
-        jne work
-        hlt
-    )";
-}
-
 std::map<std::string, std::string>
-runStress(unsigned workers)
+runStress(unsigned workers, std::unique_ptr<Searcher> searcher = nullptr)
 {
     Engine engine(machineFor(stressSource(), 64 * 1024),
                   differentialConfig(workers));
+    maybeSetSearcher(engine, std::move(searcher));
     engine.run();
     return pathFingerprints(engine);
+}
+
+/** DDT+ over the PIO NIC under SC-SE: the only symbolic input is the
+ *  hardware and the workload terminates without run budgets. DDT+
+ *  installs its own seeded RandomSearcher; `dfs` replaces it with the
+ *  depth-first oracle. */
+std::map<std::string, std::string>
+runDdtPio(unsigned workers, uint64_t searcher_seed, bool dfs)
+{
+    tools::DdtConfig config;
+    config.driver = DriverKind::Pio;
+    config.model = ConsistencyModel::ScSe;
+    config.annotations = false;
+    config.maxInstructions = 0;
+    config.maxWallSeconds = 0;
+    config.numWorkers = workers;
+    config.searcherSeed = searcher_seed;
+    config.solverOptions.useModelCache = false;
+    tools::Ddt ddt(config);
+    if (dfs)
+        ddt.engine().setSearcher(
+            std::make_unique<plugins::DepthFirstSearcher>());
+    ddt.run();
+    return pathFingerprints(ddt.engine());
 }
 
 // --- Differential tests --------------------------------------------------
@@ -334,7 +168,7 @@ TEST(ParallelDifferential, LicenseCheckPathSetInvariant)
     auto serial = runLicense(1);
     EXPECT_GT(serial.size(), 4u); // the key ladder forks many paths
     for (unsigned w : kWorkerCounts)
-        expectSamePathSets(serial, runLicense(w), w);
+        expectSamePathSets(serial, runLicense(w), workersLabel(w));
 }
 
 TEST(ParallelDifferential, UrlParserPathSetInvariant)
@@ -342,7 +176,7 @@ TEST(ParallelDifferential, UrlParserPathSetInvariant)
     auto serial = runUrlParser(1);
     EXPECT_GT(serial.size(), 2u);
     for (unsigned w : kWorkerCounts)
-        expectSamePathSets(serial, runUrlParser(w), w);
+        expectSamePathSets(serial, runUrlParser(w), workersLabel(w));
 }
 
 TEST(ParallelDifferential, LuaPathSetInvariant)
@@ -350,7 +184,7 @@ TEST(ParallelDifferential, LuaPathSetInvariant)
     auto serial = runLua(1);
     EXPECT_GT(serial.size(), 2u);
     for (unsigned w : kWorkerCounts)
-        expectSamePathSets(serial, runLua(w), w);
+        expectSamePathSets(serial, runLua(w), workersLabel(w));
 }
 
 TEST(ParallelDifferential, PingPathSetInvariant)
@@ -360,7 +194,7 @@ TEST(ParallelDifferential, PingPathSetInvariant)
     auto serial = runPing(1);
     EXPECT_GE(serial.size(), 1u);
     for (unsigned w : kWorkerCounts)
-        expectSamePathSets(serial, runPing(w), w);
+        expectSamePathSets(serial, runPing(w), workersLabel(w));
 }
 
 TEST(ParallelDifferential, ForkStormPathSetInvariant)
@@ -370,24 +204,138 @@ TEST(ParallelDifferential, ForkStormPathSetInvariant)
     auto serial = runStress(1);
     EXPECT_EQ(serial.size(), 512u);
     for (unsigned w : kWorkerCounts)
-        expectSamePathSets(serial, runStress(w), w);
+        expectSamePathSets(serial, runStress(w), workersLabel(w));
 }
 
 TEST(ParallelDifferential, WorkerTelemetryReported)
 {
-    Engine engine(machineFor(stressSource(), 64 * 1024),
-                  differentialConfig(2));
-    RunResult r = engine.run();
-    EXPECT_EQ(r.workers, 2u);
-    ASSERT_EQ(r.workerBusySeconds.size(), 2u);
-    double busy = 0;
-    for (double s : r.workerBusySeconds) {
-        EXPECT_GE(s, 0.0);
-        busy += s;
+    // One worker is a pool of one: it reports its busy time like any
+    // other pool. Pooled phase seconds are normalized by workers ×
+    // wall-clock, so the fractions sum to at most 1 at any count.
+    for (unsigned workers : {1u, 2u, 4u}) {
+        EngineConfig config = differentialConfig(workers);
+        config.profileExecution = true;
+        Engine engine(machineFor(stressSource(), 64 * 1024), config);
+        RunResult r = engine.run();
+        EXPECT_EQ(r.workers, workers);
+        ASSERT_EQ(r.workerBusySeconds.size(), workers);
+        double busy = 0;
+        for (double s : r.workerBusySeconds) {
+            EXPECT_GE(s, 0.0);
+            busy += s;
+        }
+        EXPECT_GT(busy, 0.0);
+        EXPECT_EQ(r.statesCreated, 512u);
+        EXPECT_EQ(r.completed, 512u);
+
+        obs::RunReport report("telemetry");
+        report.captureEngine(engine, r);
+        EXPECT_GT(report.phaseFractionSum(), 0.0) << workersLabel(workers);
+        EXPECT_LE(report.phaseFractionSum(), 1.0) << workersLabel(workers);
     }
-    EXPECT_GT(busy, 0.0);
-    EXPECT_EQ(r.statesCreated, 512u);
-    EXPECT_EQ(r.completed, 512u);
+}
+
+// --- The Searcher picks within each worker's shard -----------------------
+
+/** Depth-first, counting its select() calls. The count is a plain
+ *  integer on purpose: the engine serializes every Searcher call under
+ *  one mutex, and the tsan gate flags any call that escapes it. */
+class CountingSearcher : public Searcher
+{
+  public:
+    explicit CountingSearcher(uint64_t &calls) : calls_(calls) {}
+    const char *name() const override { return "counting-dfs"; }
+    ExecutionState *
+    select(const std::vector<ExecutionState *> &active) override
+    {
+        ++calls_;
+        return active.back();
+    }
+
+  private:
+    uint64_t &calls_;
+};
+
+TEST(SearcherPerWorker, SelectIsCalledAtEveryWorkerCount)
+{
+    auto oracle = runStress(1);
+    for (unsigned w : kWorkerCounts) {
+        uint64_t calls = 0;
+        auto run = runStress(w, std::make_unique<CountingSearcher>(calls));
+        EXPECT_GT(calls, 0u) << "Searcher never consulted with "
+                             << workersLabel(w);
+        expectSamePathSets(oracle, run, workersLabel(w));
+    }
+}
+
+TEST(SearcherPerWorker, RandomSearcherPathSetsMatchDepthFirst)
+{
+    // No state budget: every schedule explores the whole tree, so
+    // random picks change the order in which paths run, never the set.
+    // DDT+ installs RandomSearcher(searcherSeed) itself.
+    auto license = runLicense(1);
+    auto storm = runStress(1);
+    auto ddt = runDdtPio(1, 7, /*dfs=*/true);
+    EXPECT_GT(ddt.size(), 4u);
+    for (unsigned w : {1u, 2u, 4u}) {
+        std::string what = "random@" + workersLabel(w);
+        expectSamePathSets(
+            license,
+            runLicense(w, std::make_unique<plugins::RandomSearcher>(7)),
+            "license " + what);
+        expectSamePathSets(
+            storm,
+            runStress(w, std::make_unique<plugins::RandomSearcher>(7)),
+            "storm " + what);
+        expectSamePathSets(ddt, runDdtPio(w, 7, /*dfs=*/false),
+                           "ddt " + what);
+    }
+}
+
+/** FNV-1a-64 of `text`, as 16 hex digits. */
+std::string
+fnvDigest(const std::string &text)
+{
+    uint64_t h = 0xcbf29ce484222325ULL;
+    for (char c : text)
+        h = (h ^ static_cast<uint8_t>(c)) * 0x100000001b3ULL;
+    return strprintf("%016llx", static_cast<unsigned long long>(h));
+}
+
+/** Path ids in the order a 1-worker fork storm retired them. The state
+ *  budget runs out mid-storm, so the order of picks decides which
+ *  paths exist at all; short timeslices make every path return to
+ *  its shard many times before it ends. */
+std::string
+retirementOrder(std::unique_ptr<Searcher> searcher)
+{
+    EngineConfig config = differentialConfig(1);
+    config.maxStatesCreated = 40;
+    config.timesliceBlocks = 4;
+    Engine engine(machineFor(stressSource(), 64 * 1024), config);
+    engine.setSearcher(std::move(searcher));
+    std::string order;
+    engine.events().onStateKill.subscribe(
+        [&order](ExecutionState &s) { order += s.pathId() + " "; });
+    RunResult r = engine.run();
+    EXPECT_EQ(r.statesCreated, 40u);
+    EXPECT_EQ(r.completed, 40u);
+    return order;
+}
+
+TEST(SearcherPerWorker, OneWorkerSelectionOrderIsPinned)
+{
+    // Pins every pick of a 1-worker run: what the Searcher is shown at
+    // each select (its shard, in insertion order, with terminated
+    // states gone) and when states retire. Record new digests only with
+    // the reason.
+    std::string dfs =
+        retirementOrder(std::make_unique<plugins::DepthFirstSearcher>());
+    std::string bfs =
+        retirementOrder(std::make_unique<plugins::BreadthFirstSearcher>());
+    EXPECT_NE(dfs, bfs);
+    EXPECT_EQ(fnvDigest(dfs), "9589e55b85bc10bf") << dfs;
+    EXPECT_EQ(fnvDigest(bfs), "ab5d98c4b52fe69a") << bfs;
 }
 
 // --- Fork-tree canonicalization property ---------------------------------

@@ -36,43 +36,26 @@
 #include "guest/layout.hh"
 #include "guest/workloads.hh"
 #include "plugins/annotation.hh"
+#include "support/differential.hh"
 #include "support/logging.hh"
 #include "tools/ddt.hh"
-#include "vm/devices.hh"
-#include "vm/nic.hh"
 
 namespace s2e::core {
 namespace {
 
 namespace fs = std::filesystem;
+using difftest::differentialConfig;
+using difftest::machineFor;
+using difftest::stressSource;
 using replay::Witness;
 
-vm::MachineConfig
-machineFor(const std::string &source, uint32_t ram = guest::kRamSize,
-           bool loopback = false)
-{
-    vm::MachineConfig m;
-    m.ramSize = ram;
-    m.program = isa::assemble(source);
-    m.deviceSetup = [loopback](vm::DeviceSet &devices) {
-        devices.add(std::make_unique<vm::ConsoleDevice>());
-        devices.add(std::make_unique<vm::TimerDevice>());
-        auto nic = std::make_unique<vm::DmaNic>();
-        nic->setLoopback(loopback);
-        devices.add(std::move(nic));
-    };
-    return m;
-}
-
-/** Differential witness config: no budgets (budget kills land at
- *  schedule-dependent points) and no model cache (cached models make
- *  extraction depend on query history). */
+/** The differential configuration (no budgets: budget kills land at
+ *  schedule-dependent points; no model cache: cached models make
+ *  extraction depend on query history) with witnesses on. */
 EngineConfig
 witnessConfig(unsigned workers)
 {
-    EngineConfig config;
-    config.numWorkers = workers;
-    config.solverOptions.useModelCache = false;
+    EngineConfig config = differentialConfig(workers);
     config.emitWitnesses = true;
     return config;
 }
@@ -162,55 +145,6 @@ replayLicense(std::shared_ptr<const Witness> w)
                              std::move(w));
     licenseSetup(rep.engine());
     return rep.run();
-}
-
-/** High-fork-rate stress: nine independent symbolic branch bits fork
- *  2^9 = 512 paths (mirrors tests/test_parallel.cc). */
-const char *
-stressSource()
-{
-    return R"(
-        .entry main
-    main:
-        movi sp, 0x8000
-        s2e_symreg r1
-        movi r5, 0
-        testi r1, 1
-        jeq b1
-        ori r5, 1
-    b1: testi r1, 2
-        jeq b2
-        ori r5, 2
-    b2: testi r1, 4
-        jeq b3
-        ori r5, 4
-    b3: testi r1, 8
-        jeq b4
-        ori r5, 8
-    b4: testi r1, 16
-        jeq b5
-        ori r5, 16
-    b5: testi r1, 32
-        jeq b6
-        ori r5, 32
-    b6: testi r1, 64
-        jeq b7
-        ori r5, 64
-    b7: testi r1, 128
-        jeq b8
-        ori r5, 128
-    b8: testi r1, 256
-        jeq b9
-        ori r5, 256
-    b9: movi r3, 0
-        movi r4, 0
-    work:
-        add r3, r5
-        addi r4, 1
-        cmpi r4, 20
-        jne work
-        hlt
-    )";
 }
 
 WitnessRun

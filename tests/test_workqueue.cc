@@ -1,6 +1,8 @@
 /**
  * @file
- * WorkQueue idle-wait tests: a starved worker genuinely sleeps
+ * WorkQueue tests: the owner picks from its whole shard in insertion
+ * order, thieves take the oldest state that is not running, a sweep
+ * drops states in slot order, a starved worker genuinely sleeps
  * (near-zero thread CPU), pushes with no sleeper skip the notify, and
  * the sleep/wakeup/notify ledger balances under churn.
  */
@@ -13,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "core/workqueue.hh"
 
@@ -28,6 +31,13 @@ fakeState(size_t i)
     return reinterpret_cast<ExecutionState *>(&tokens[i]);
 }
 
+/** Depth-first picks: the newest state of the shard. */
+ExecutionState *
+newest(const std::vector<ExecutionState *> &shard)
+{
+    return shard.back();
+}
+
 /** CPU seconds consumed by `thread` (itimer-quality granularity). */
 double
 threadCpuSeconds(pthread_t thread)
@@ -41,6 +51,61 @@ threadCpuSeconds(pthread_t thread)
     return static_cast<double>(ts.tv_sec) + ts.tv_nsec * 1e-9;
 }
 
+TEST(WorkQueueShards, PickSeesInsertionOrderAndThievesSkipRunningState)
+{
+    WorkQueue q(2);
+    for (size_t i = 0; i < 3; ++i)
+        q.add(0, fakeState(i));
+    // The owner's pick sees its whole shard, oldest first, and may
+    // choose any slot.
+    std::vector<ExecutionState *> seen;
+    ExecutionState *running =
+        q.take(0, [&](const std::vector<ExecutionState *> &shard) {
+            seen = shard;
+            return shard[1];
+        });
+    EXPECT_EQ(running, fakeState(1));
+    EXPECT_EQ(seen, (std::vector<ExecutionState *>{
+                        fakeState(0), fakeState(1), fakeState(2)}));
+    // A thief takes the oldest state that is not running...
+    EXPECT_EQ(q.take(1, newest), fakeState(0));
+    q.finish(1);
+    // ...and skips the running one, which keeps its slot.
+    EXPECT_EQ(q.take(1, newest), fakeState(2));
+    q.finish(1);
+    EXPECT_EQ(q.pending(), 1u);
+    q.put(0);
+    EXPECT_EQ(q.take(1, newest), fakeState(1)); // released: stealable
+    q.finish(1);
+    EXPECT_EQ(q.take(0, newest), nullptr);
+}
+
+TEST(WorkQueueShards, SweepDropsStatesInSlotOrder)
+{
+    WorkQueue q(1);
+    for (size_t i = 0; i < 6; ++i)
+        q.add(0, fakeState(i));
+    ASSERT_EQ(q.take(0, newest), fakeState(5));
+    std::vector<ExecutionState *> out;
+    q.sweep(
+        0,
+        [](ExecutionState *s) {
+            return s == fakeState(1) || s == fakeState(3) ||
+                   s == fakeState(5);
+        },
+        out);
+    EXPECT_EQ(out, (std::vector<ExecutionState *>{
+                       fakeState(1), fakeState(3), fakeState(5)}));
+    EXPECT_EQ(q.pending(), 3u);
+    std::vector<ExecutionState *> seen;
+    q.take(0, [&](const std::vector<ExecutionState *> &shard) {
+        seen = shard;
+        return shard.front();
+    });
+    EXPECT_EQ(seen, (std::vector<ExecutionState *>{
+                        fakeState(0), fakeState(2), fakeState(4)}));
+}
+
 TEST(WorkQueueWait, StarvedWorkerSleepsInsteadOfSpinning)
 {
     // Worker 0 holds the only pending state; worker 1 has nothing to
@@ -49,16 +114,17 @@ TEST(WorkQueueWait, StarvedWorkerSleepsInsteadOfSpinning)
     // epoch wait actually sleeps).
     WorkQueue q(2);
     q.add(0, fakeState(0));
-    ASSERT_EQ(q.take(0), fakeState(0)); // now held, shards empty
+    ASSERT_EQ(q.take(0, newest), fakeState(0)); // now running: not stealable
 
     std::atomic<pthread_t> waiter_handle{};
     std::atomic<bool> handle_ready{false};
     std::thread waiter([&] {
         waiter_handle.store(pthread_self());
         handle_ready.store(true, std::memory_order_release);
-        EXPECT_EQ(q.take(1), fakeState(0)); // blocks until the put below
-        q.finish();
-        EXPECT_EQ(q.take(1), nullptr); // pending hit zero
+        // Blocks until the put below.
+        EXPECT_EQ(q.take(1, newest), fakeState(0));
+        q.finish(1);
+        EXPECT_EQ(q.take(1, newest), nullptr); // pending hit zero
     });
     while (!handle_ready.load(std::memory_order_acquire))
         std::this_thread::yield();
@@ -69,7 +135,7 @@ TEST(WorkQueueWait, StarvedWorkerSleepsInsteadOfSpinning)
     if (cpu >= 0) {
         EXPECT_LT(cpu, 0.050) << "starved worker burned CPU while idle";
     }
-    q.put(0, fakeState(0)); // hand the state over; waiter finishes it
+    q.put(0); // release the state; the waiter steals and finishes it
     waiter.join();
     EXPECT_EQ(q.pending(), 0u);
 }
@@ -84,28 +150,29 @@ TEST(WorkQueueWait, PushesWithoutSleepersSkipTheNotify)
     EXPECT_EQ(q.waitStats().notifySkips.load(), kPushes);
     EXPECT_EQ(q.waitStats().notifies.load(), 0u);
     for (size_t i = 0; i < kPushes; ++i) {
-        EXPECT_NE(q.take(0), nullptr);
-        q.finish();
+        EXPECT_NE(q.take(0, newest), nullptr);
+        q.finish(0);
     }
-    EXPECT_EQ(q.take(0), nullptr);
+    EXPECT_EQ(q.take(0, newest), nullptr);
 }
 
 TEST(WorkQueueWait, SleeperIsNotifiedOnPush)
 {
     WorkQueue q(2);
     q.add(0, fakeState(0));
-    ASSERT_EQ(q.take(0), fakeState(0)); // held; queue empty, pending 1
+    ASSERT_EQ(q.take(0, newest), fakeState(0)); // running; pending 1
 
     std::thread waiter([&] {
-        EXPECT_EQ(q.take(1), fakeState(0));
-        q.finish();
-        EXPECT_EQ(q.take(1), nullptr);
+        EXPECT_EQ(q.take(1, newest), fakeState(0));
+        q.finish(1);
+        EXPECT_EQ(q.take(1, newest), nullptr);
     });
-    // Wait until the worker registered its sleep, then push.
+    // Wait until the worker registered its sleep, then release the
+    // held state so it becomes stealable.
     while (q.waitStats().sleeps.load() == 0)
         std::this_thread::yield();
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    q.put(1, fakeState(0));
+    q.put(0);
     waiter.join();
     EXPECT_GE(q.waitStats().notifies.load(), 1u);
 }
@@ -120,12 +187,12 @@ TEST(WorkQueueWait, WakeupLedgerBalancesUnderChurn)
     std::thread consumer([&] {
         size_t done = 0;
         while (done < kStates) {
-            if (q.take(1) != nullptr) {
-                q.finish();
+            if (q.take(1, newest) != nullptr) {
+                q.finish(1);
                 ++done;
             }
         }
-        EXPECT_EQ(q.take(1), nullptr);
+        EXPECT_EQ(q.take(1, newest), nullptr);
     });
     for (size_t i = 0; i < kStates; ++i)
         q.add(0, fakeState(i % 8));

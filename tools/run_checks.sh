@@ -1,7 +1,10 @@
 #!/bin/sh
 # Run the differential suites that guard the exploration core in all
 # three configurations:
-#   1. the default build       — `ctest -L parallel` (serial-vs-parallel),
+#   1. the default build       — `ctest -L parallel` (path sets at
+#                                1/2/4 workers, the Searcher as each
+#                                worker's pick policy, its pinned
+#                                1-worker order),
 #                                `ctest -L solver` (SAT and solver
 #                                kernel tests, incremental-vs-fresh
 #                                solver contexts), `ctest -L lifecycle`
@@ -24,7 +27,10 @@
 #                                (parallel, incremental, lifecycle,
 #                                replay and WorkQueue suites and the
 #                                expression builder's concurrent-intern
-#                                tests all carry the tsan label)
+#                                tests all carry the tsan label; the
+#                                parallel suite's counting Searcher
+#                                catches any call that escapes the
+#                                engine's Searcher mutex)
 # Also gates clang-tidy (zero warnings over src/expr and src/solver,
 # skipped when clang-tidy is not installed) and diffs a fresh
 # bench_fork_storm report against the committed baseline: missing
