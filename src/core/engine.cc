@@ -1394,10 +1394,6 @@ Engine::execS2Op(ExecutionState &state, const MicroOp &op,
 bool
 Engine::executeBlock(ExecutionState &state)
 {
-    // The enclosing span: nested translate/symbolic/solver/fork spans
-    // carve their time out of it (exclusive accounting), so what
-    // remains charged here is the true concrete-execution fraction.
-    obs::PhaseSpan span(curProfiler(), obs::Phase::ConcreteExec);
     deliverInterrupts(state);
     if (!state.isActive())
         return false;
@@ -1430,6 +1426,10 @@ Engine::executeBlock(ExecutionState &state)
     bool fire_mem_events = !events_.onMemoryAccess.empty();
     bool fire_instr_events = !events_.onInstrExecution.empty();
     size_t next_instr = 0;
+    // Opened at the block's first symbolic micro-op, it charges the
+    // rest of the block to symbolic execution: one span per block
+    // instead of two clock reads per symbolic micro-op.
+    std::optional<obs::PhaseSpan> sym;
 
     for (size_t op_index = 0; op_index < tb->ops.size(); ++op_index) {
         // Per-instruction boundary bookkeeping (marked instructions).
@@ -1468,7 +1468,8 @@ Engine::executeBlock(ExecutionState &state)
                 temps[op.dst] = Value(op.op == UOp::Not ? ~a.concrete()
                                                         : 0 - a.concrete());
             } else {
-                obs::PhaseSpan sym(curProfiler(), obs::Phase::SymbolicExec);
+                if (!sym)
+                    sym.emplace(curProfiler(), obs::Phase::SymbolicExec);
                 state.symInstrCount++;
                 temps[op.dst] = Value(op.op == UOp::Not
                                           ? builder_.bNot(a.expr())
@@ -1500,7 +1501,8 @@ Engine::executeBlock(ExecutionState &state)
                     Value(concreteBinary(op.op, a.concrete(),
                                          b.concrete()));
             } else {
-                obs::PhaseSpan sym(curProfiler(), obs::Phase::SymbolicExec);
+                if (!sym)
+                    sym.emplace(curProfiler(), obs::Phase::SymbolicExec);
                 state.symInstrCount++;
                 temps[op.dst] = Value(symbolicBinary(
                     op.op, a.toExpr(builder_), b.toExpr(builder_),
@@ -2190,6 +2192,11 @@ Engine::workerLoop(WorkerContext &w, WorkQueue &queue,
             w.solver.bindPathContext(&state->solverCtx);
             tl_executing = state;
             uint64_t instr_before = state->instrCount;
+            // The slice's enclosing span: nested translate/symbolic/
+            // solver/fork spans carve their time out of it (exclusive
+            // accounting), so what remains charged here is the true
+            // concrete-execution fraction.
+            obs::PhaseSpan concrete(curProfiler(), obs::Phase::ConcreteExec);
             for (unsigned i = 0;
                  i < config_.timesliceBlocks && state->isActive(); ++i) {
                 // Children forked during a block become runnable only

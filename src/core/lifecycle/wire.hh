@@ -10,6 +10,7 @@
  * shares one header/checksum convention.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -149,16 +150,19 @@ struct Reader {
 inline std::vector<uint8_t>
 sealImage(const char (&magic)[8], uint32_t version, const Writer &payload)
 {
-    std::vector<uint8_t> image;
-    image.reserve(kHeaderSize + payload.buf.size());
-    image.insert(image.end(), magic, magic + sizeof(magic));
     Writer header;
     header.u32(version);
     header.u32(0); // reserved
     header.u64(payload.buf.size());
     header.u64(fnv1a(payload.buf.data(), payload.buf.size()));
-    image.insert(image.end(), header.buf.begin(), header.buf.end());
-    image.insert(image.end(), payload.buf.begin(), payload.buf.end());
+    // Sized up front and filled by copies: GCC 12 reports spurious
+    // -Warray-bounds/-Wstringop-overflow for vector::insert here.
+    std::vector<uint8_t> image(kHeaderSize + payload.buf.size());
+    std::memcpy(image.data(), magic, sizeof(magic));
+    std::memcpy(image.data() + sizeof(magic), header.buf.data(),
+                header.buf.size());
+    std::copy(payload.buf.begin(), payload.buf.end(),
+              image.begin() + kHeaderSize);
     return image;
 }
 

@@ -41,47 +41,62 @@ ExprBuilder::intern(Kind kind, unsigned width, unsigned aux, uint64_t value,
                     ExprRef k0, ExprRef k1, ExprRef k2,
                     const std::string *name)
 {
+    S2E_ASSERT(width <= 64 && aux <= 63, "node w%u aux %u does not fit",
+               width, aux);
     uint64_t h = computeHash(kind, width, aux, value, k0, k1, k2);
-    // The hash's own high bits barely vary (all constants share them),
-    // so the shard comes from the high bits of a Fibonacci remix.
-    Shard &shard = shards_[(h * 0x9e3779b97f4a7c15ULL) >> (64 - kShardBits)];
+    // Nodes and slots keep a 32-bit fold of the hash. A tag hit is only
+    // a candidate: the fields below decide equality, so a tag collision
+    // costs a comparison, never a wrong answer.
+    auto tag = static_cast<uint32_t>(h ^ (h >> 32));
+    // The tag's low bits pick the probe start, so the shard comes from
+    // the high bits of a Fibonacci remix.
+    Shard &shard = shards_[(tag * 0x9e3779b9U) >> (32 - kShardBits)];
     std::lock_guard<std::mutex> lock(shard.mu);
 
     std::vector<Slot> &slots = shard.slots;
     if (slots.empty())
         slots.resize(16);
+    bool leaf = kind == Kind::Constant || kind == Kind::Variable;
     size_t mask = slots.size() - 1;
-    size_t i = h & mask;
-    for (; slots[i].node; i = (i + 1) & mask) {
-        const Expr *e = slots[i].node;
-        // Unused kids are null and non-leaf nodes carry value 0, so
-        // comparing every field is structural equality.
-        if (slots[i].hash == h && e->kind_ == kind && e->width_ == width &&
-            e->aux_ == aux && e->value_ == value && e->kids_[0] == k0 &&
-            e->kids_[1] == k1 && e->kids_[2] == k2)
-            return e;
+    size_t i = tag & mask;
+    for (; slots[i].index; i = (i + 1) & mask) {
+        if (slots[i].tag != tag)
+            continue;
+        const Expr &e = shard.node(slots[i].index - 1);
+        if (e.kind_ != kind || e.width_ != width || e.aux_ != aux)
+            continue;
+        // Unused kids are null, so comparing all three is structural
+        // equality; a leaf's name follows from its value.
+        if (leaf ? e.leaf_.value == value
+                 : e.kids_[0] == k0 && e.kids_[1] == k1 && e.kids_[2] == k2)
+            return &e;
     }
 
+    S2E_ASSERT(shard.size < UINT32_MAX, "expression shard is full");
     if (shard.size % kChunkNodes == 0)
         shard.chunks.push_back(std::unique_ptr<Expr[]>(new Expr[kChunkNodes]));
-    Expr &node = shard.chunks.back()[shard.size++ % kChunkNodes];
+    Expr &node = shard.node(shard.size++);
     node.kind_ = kind;
-    node.width_ = width;
-    node.aux_ = aux;
-    node.value_ = value;
-    node.kids_[0] = k0;
-    node.kids_[1] = k1;
-    node.kids_[2] = k2;
-    node.hash_ = h;
-    node.name_ = name;
-    slots[i] = {h, &node};
+    node.width_ = static_cast<uint8_t>(width);
+    node.aux_ = static_cast<uint8_t>(aux);
+    node.hash_ = tag;
+    if (leaf) {
+        node.leaf_ = Expr::Leaf{value, name};
+    } else {
+        node.kids_[0] = k0;
+        node.kids_[1] = k1;
+        node.kids_[2] = k2;
+    }
+    slots[i] = {tag, static_cast<uint32_t>(shard.size)};
 
     if (shard.size * 4 > slots.size() * 3) {
         std::vector<Slot> grown(slots.size() * 2);
         mask = grown.size() - 1;
         for (const Slot &s : slots) {
-            size_t j = s.hash & mask;
-            while (grown[j].node)
+            if (!s.index)
+                continue;
+            size_t j = s.tag & mask;
+            while (grown[j].index)
                 j = (j + 1) & mask;
             grown[j] = s;
         }

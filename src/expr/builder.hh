@@ -26,10 +26,11 @@ namespace s2e::expr {
  * Factory and owner of all expression nodes. One builder per engine,
  * shared by all exploration workers. The hash-cons table is split into
  * kShards shards picked by the (remixed) node hash's high bits; each has
- * its own mutex, open-addressing table and arena, so interning a node
- * is one find-or-insert probe under one shard lock and workers
- * interning unrelated nodes rarely contend. Variables are numbered
- * under a separate mutex, taken before (never after) a shard lock.
+ * its own mutex, open-addressing table of 8-byte slots and arena of
+ * 32-byte nodes, so interning a node is one find-or-insert probe under
+ * one shard lock and workers interning unrelated nodes rarely contend.
+ * Variables are numbered under a separate mutex, taken before (never
+ * after) a shard lock.
  * Returned ExprRefs are immutable and never invalidated.
  */
 class ExprBuilder
@@ -151,13 +152,19 @@ class ExprBuilder
     static constexpr unsigned kShardBits = 4;
     static constexpr size_t kShards = size_t{1} << kShardBits;
 
+    /** A table slot: the node's 32-bit hash tag and its index in the
+     *  shard's arena plus one; index 0 marks an empty slot. The probe
+     *  start and the shard both come from the tag, so growing the table
+     *  rehashes slots without reading a node. */
     struct Slot {
-        uint64_t hash = 0;
-        Expr *node = nullptr; ///< null marks an empty slot
+        uint32_t tag = 0;
+        uint32_t index = 0;
     };
+    static_assert(sizeof(Slot) == 8, "intern slots are 8 bytes");
 
     /** Nodes per arena chunk; chunks never move, so ExprRefs stay valid. */
-    static constexpr size_t kChunkNodes = 64;
+    static constexpr unsigned kChunkBits = 6;
+    static constexpr size_t kChunkNodes = size_t{1} << kChunkBits;
 
     /** Linear-probing table (power-of-two size from 16, at most 3/4
      *  full) over the shard's own chunked arena. Both are allocated on
@@ -168,6 +175,12 @@ class ExprBuilder
         std::vector<Slot> slots;
         std::vector<std::unique_ptr<Expr[]>> chunks;
         size_t size = 0;
+
+        Expr &
+        node(size_t index)
+        {
+            return chunks[index >> kChunkBits][index & (kChunkNodes - 1)];
+        }
     };
 
     Shard shards_[kShards];

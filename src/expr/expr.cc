@@ -1,6 +1,6 @@
 #include "expr/expr.hh"
 
-#include <unordered_set>
+#include "expr/nodetable.hh"
 
 #include "support/logging.hh"
 
@@ -41,36 +41,16 @@ kindName(Kind kind)
     panic("kindName: bad kind %d", static_cast<int>(kind));
 }
 
-unsigned
-kindArity(Kind kind)
-{
-    switch (kind) {
-      case Kind::Constant:
-      case Kind::Variable:
-        return 0;
-      case Kind::Not:
-      case Kind::Neg:
-      case Kind::Extract:
-      case Kind::ZExt:
-      case Kind::SExt:
-        return 1;
-      case Kind::Ite:
-        return 3;
-      default:
-        return 2;
-    }
-}
-
 const std::string &
 Expr::name() const
 {
-    S2E_ASSERT(isVariable() && name_, "name() on non-variable");
-    return *name_;
+    S2E_ASSERT(isVariable() && leaf_.name, "name() on non-variable");
+    return *leaf_.name;
 }
 
 namespace {
 void
-countNodes(ExprRef e, std::unordered_set<ExprRef> &seen)
+countNodes(ExprRef e, NodeTable<bool> &seen)
 {
     if (!seen.insert(e).second)
         return;
@@ -82,7 +62,10 @@ countNodes(ExprRef e, std::unordered_set<ExprRef> &seen)
 size_t
 Expr::nodeCount() const
 {
-    std::unordered_set<ExprRef> seen;
+    // One table per thread, reused call after call: footprint
+    // accounting counts every constraint of a state after each slice.
+    thread_local NodeTable<bool> seen;
+    seen.clear();
     countNodes(this, seen);
     return seen.size();
 }
@@ -92,19 +75,19 @@ Expr::toString() const
 {
     switch (kind_) {
       case Kind::Constant:
-        return strprintf("(const w%u %llu)", width_,
-                         static_cast<unsigned long long>(value_));
+        return strprintf("(const w%u %llu)", width(),
+                         static_cast<unsigned long long>(leaf_.value));
       case Kind::Variable:
-        return strprintf("%s:w%u", name_->c_str(), width_);
+        return strprintf("%s:w%u", leaf_.name->c_str(), width());
       case Kind::Extract:
-        return strprintf("(extract w%u @%u %s)", width_, aux_,
+        return strprintf("(extract w%u @%u %s)", width(), aux(),
                          kids_[0]->toString().c_str());
       case Kind::ZExt:
       case Kind::SExt:
-        return strprintf("(%s w%u %s)", kindName(kind_), width_,
+        return strprintf("(%s w%u %s)", kindName(kind_), width(),
                          kids_[0]->toString().c_str());
       default: {
-        std::string s = strprintf("(%s w%u", kindName(kind_), width_);
+        std::string s = strprintf("(%s w%u", kindName(kind_), width());
         for (unsigned i = 0; i < arity(); ++i)
             s += " " + kids_[i]->toString();
         return s + ")";

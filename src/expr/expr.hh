@@ -17,6 +17,7 @@
 #define S2E_EXPR_EXPR_HH
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 
 #include "support/logging.hh"
@@ -70,8 +71,24 @@ enum class Kind : uint8_t {
 /** Human-readable kind name. */
 const char *kindName(Kind kind);
 
+/** Child operand count per kind, indexed by Kind. */
+inline constexpr uint8_t kKindArity[] = {
+    0, 0,                // Constant, Variable
+    2, 2, 2, 2, 2, 2, 2, // Add .. SRem
+    2, 2, 2, 1, 1,       // And, Or, Xor, Not, Neg
+    2, 2, 2,             // Shl, LShr, AShr
+    2, 1, 1, 1,          // Concat, Extract, ZExt, SExt
+    2, 2, 2, 2, 2,       // Eq .. Sle
+    3,                   // Ite
+};
+static_assert(std::size(kKindArity) == static_cast<size_t>(Kind::Ite) + 1);
+
 /** Number of child operands for a kind. */
-unsigned kindArity(Kind kind);
+inline unsigned
+kindArity(Kind kind)
+{
+    return kKindArity[static_cast<size_t>(kind)];
+}
 
 class Expr;
 using ExprRef = const Expr *;
@@ -91,15 +108,23 @@ class Expr
     bool isVariable() const { return kind_ == Kind::Variable; }
 
     /** True if this is the width-1 constant 1 / 0. */
-    bool isTrue() const { return isConstant() && width_ == 1 && value_ == 1; }
-    bool isFalse() const { return isConstant() && width_ == 1 && value_ == 0; }
+    bool
+    isTrue() const
+    {
+        return isConstant() && width_ == 1 && leaf_.value == 1;
+    }
+    bool
+    isFalse() const
+    {
+        return isConstant() && width_ == 1 && leaf_.value == 0;
+    }
 
     /** Constant value (valid only for Constant nodes). */
     uint64_t
     value() const
     {
         S2E_ASSERT(isConstant(), "value() on non-constant");
-        return value_;
+        return leaf_.value;
     }
 
     /** Variable id / name (valid only for Variable nodes). */
@@ -107,7 +132,7 @@ class Expr
     varId() const
     {
         S2E_ASSERT(isVariable(), "varId() on non-variable");
-        return value_;
+        return leaf_.value;
     }
     const std::string &name() const;
 
@@ -127,7 +152,8 @@ class Expr
         return kids_[i];
     }
 
-    /** Stable hash computed at construction. */
+    /** Stable hash computed at construction (the builder's 32-bit
+     *  intern tag). */
     uint64_t hash() const { return hash_; }
 
     /** Total node count of the DAG rooted here (shared nodes counted once). */
@@ -140,14 +166,27 @@ class Expr
     friend class ExprBuilder;
     Expr() = default;
 
+    /** Payload of a Constant or Variable node. */
+    struct Leaf {
+        uint64_t value;           ///< constant value, or variable id
+        const std::string *name;  ///< variable name (interned), or null
+    };
+
+    // 32 bytes in all: the hash-consed store of a long symbolic run is
+    // mostly nodes, so their size is the run's memory traffic.
     Kind kind_ = Kind::Constant;
-    unsigned width_ = 0;
-    unsigned aux_ = 0;
-    uint64_t value_ = 0; ///< constant value, or variable id
-    ExprRef kids_[3] = {nullptr, nullptr, nullptr};
-    uint64_t hash_ = 0;
-    const std::string *name_ = nullptr; ///< variable name (interned)
+    uint8_t width_ = 0; ///< 1..64
+    uint8_t aux_ = 0;   ///< extract offset, 0..63
+    uint32_t hash_ = 0;
+    // Leaves have no kids and inner nodes no value, so the two share
+    // storage; kind_ says which member is live.
+    union {
+        ExprRef kids_[3] = {nullptr, nullptr, nullptr}; ///< unused are null
+        Leaf leaf_;
+    };
 };
+
+static_assert(sizeof(Expr) == 32, "Expr nodes are 32 bytes");
 
 } // namespace s2e::expr
 

@@ -72,6 +72,8 @@ class NodeTable
         }
     }
 
+    /** Entries stored since the last clear(). */
+    size_t size() const { return live_; }
     size_t capacity() const { return slots_.size(); }
 
   private:

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -234,6 +235,12 @@ TEST_F(ExprTest, NodeCountSharesSubtrees)
     ExprRef x = b.var("x", 32);
     ExprRef sum = b.add(x, x);
     EXPECT_EQ(sum->nodeCount(), 2u);
+    // x, y, the sum, the difference and the product.
+    ExprRef prod = b.mul(sum, b.sub(sum, b.var("y", 32)));
+    EXPECT_EQ(prod->nodeCount(), 5u);
+    // The walk's table is reused; each count forgets the last walk.
+    EXPECT_EQ(sum->nodeCount(), 2u);
+    EXPECT_EQ(x->nodeCount(), 1u);
 }
 
 TEST_F(ExprTest, ToStringRoundTripMentions)
@@ -441,11 +448,11 @@ TEST(ExprBuilder, GrowthKeepsIdentity)
 
 TEST(ExprBuilder, FullHashCollisionStaysDistinct)
 {
-    // Solve for a 64-bit constant whose node hash equals that of
-    // (const w32 5), mirroring computeHash() in builder.cc for
+    // Solve for a 64-bit constant whose full 64-bit hash equals that
+    // of (const w32 5), mirroring computeHash() in builder.cc for
     // constants (kind 0, aux 0, no kids): the two nodes then share a
-    // shard and a probe sequence, and only the slot's field-by-field
-    // comparison tells them apart.
+    // tag, a shard and a probe sequence, and only the slot's
+    // field-by-field comparison tells them apart.
     constexpr uint64_t kGolden = 0x9e3779b97f4a7c15ULL;
     auto mix = [](uint64_t h, uint64_t v) {
         return h ^ (v + kGolden + (h << 6) + (h >> 2));
@@ -464,6 +471,117 @@ TEST(ExprBuilder, FullHashCollisionStaysDistinct)
     EXPECT_EQ(wide->value(), value);
     EXPECT_EQ(b.constant(value, 64), wide);
     EXPECT_EQ(b.constant(5, 32), narrow);
+}
+
+TEST(ExprBuilder, TagCollisionStaysDistinct)
+{
+    // Nodes and slots keep a 32-bit fold of the hash, which also picks
+    // the shard and the probe start. Among up to 2^20 constants two
+    // share that tag (birthday bound) though their full hashes differ.
+    ExprBuilder b;
+    std::unordered_map<uint64_t, ExprRef> byTag;
+    ExprRef first = nullptr;
+    ExprRef second = nullptr;
+    for (uint64_t v = 0; v < (uint64_t{1} << 20) && !second; ++v) {
+        ExprRef c = b.constant(v, 32);
+        auto [it, inserted] = byTag.emplace(c->hash(), c);
+        if (!inserted) {
+            first = it->second;
+            second = c;
+        }
+    }
+    ASSERT_NE(second, nullptr) << "no tag collision among 2^20 constants";
+    EXPECT_NE(first, second);
+    EXPECT_NE(first->value(), second->value());
+    EXPECT_EQ(b.constant(first->value(), 32), first);
+    EXPECT_EQ(b.constant(second->value(), 32), second);
+    ExprRef x = b.var("x", 32);
+    EXPECT_NE(b.add(x, first), b.add(x, second));
+}
+
+TEST(ExprBuilder, LeavesAndInnerNodesDoNotAlias)
+{
+    // A leaf's {value, name} and an inner node's kids share storage.
+    // A constant whose value is a kid's address and the inner nodes
+    // over that kid stay distinct, and each reads back its own fields.
+    ExprBuilder b;
+    ExprRef x = b.var("x", 64);
+    auto bits = static_cast<uint64_t>(reinterpret_cast<uintptr_t>(x));
+    ExprRef c = b.constant(bits, 64);
+    ExprRef notX = b.bNot(x);
+    ExprRef negX = b.neg(x);
+    ExprRef cond = b.var("c", 1);
+    ExprRef ite = b.ite(cond, x, c);
+    EXPECT_EQ(std::set<ExprRef>({x, c, notX, negX, cond, ite}).size(), 6u);
+
+    EXPECT_EQ(x->varId(), 0u);
+    EXPECT_EQ(x->name(), "x");
+    EXPECT_EQ(x->arity(), 0u);
+    EXPECT_EQ(c->value(), bits);
+    EXPECT_EQ(c->arity(), 0u);
+    EXPECT_EQ(notX->kid(0), x);
+    EXPECT_EQ(negX->kid(0), x);
+    EXPECT_EQ(ite->kid(0), cond);
+    EXPECT_EQ(ite->kid(1), x);
+    EXPECT_EQ(ite->kid(2), c);
+    EXPECT_EQ(b.constant(bits, 64), c);
+    EXPECT_EQ(b.bNot(x), notX);
+    EXPECT_EQ(b.ite(cond, x, c), ite);
+    EXPECT_EQ(x->toString(), "x:w64");
+}
+
+TEST(ExprBuilder, WidestNodeAndLastOffsetRoundTrip)
+{
+    // Width and extract offset are one byte each in a node.
+    ExprBuilder b;
+    ExprRef x = b.var("x", 64);
+    ExprRef top = b.extract(x, 63, 1);
+    EXPECT_EQ(top->kind(), Kind::Extract);
+    EXPECT_EQ(top->aux(), 63u);
+    EXPECT_EQ(top->width(), 1u);
+    EXPECT_EQ(top->kid(0), x);
+    EXPECT_EQ(b.extract(x, 63, 1), top);
+    EXPECT_NE(b.extract(x, 62, 1), top);
+
+    ExprRef ones = b.constant(~uint64_t{0}, 64);
+    EXPECT_EQ(ones->width(), 64u);
+    EXPECT_EQ(ones->value(), ~uint64_t{0});
+    ExprRef wide = b.sext(b.var("y", 8), 64);
+    EXPECT_EQ(wide->width(), 64u);
+    EXPECT_EQ(b.extract(wide, 32, 32)->aux(), 32u);
+
+    Assignment a;
+    a.set(x, uint64_t{1} << 63);
+    EXPECT_EQ(evaluate(top, a), 1u);
+    EXPECT_EQ(evaluate(b.bAnd(x, ones), a), uint64_t{1} << 63);
+}
+
+TEST(ExprBuilder, TwoMillionNodesKeepIdentityAcrossGrowth)
+{
+    // 2^21 nodes: about 131k per shard, so thirteen table doublings
+    // each and arena indices well past 16 bits.
+    ExprBuilder b;
+    ExprRef x = b.var("x", 32);
+    constexpr uint64_t kPairs = uint64_t{1} << 20;
+    auto build = [&] {
+        std::vector<ExprRef> nodes;
+        nodes.reserve(2 * kPairs);
+        for (uint64_t i = 0; i < kPairs; ++i) {
+            nodes.push_back(b.constant(i + 2, 32));
+            nodes.push_back(b.bXor(x, nodes.back()));
+        }
+        return nodes;
+    };
+    std::vector<ExprRef> first = build();
+    size_t count = b.numNodes();
+    EXPECT_GE(count, 2 * kPairs);
+    for (uint64_t i = 0; i < kPairs; ++i) {
+        ASSERT_EQ(first[2 * i]->value(), i + 2);
+        ASSERT_EQ(first[2 * i + 1]->kid(0), x);
+        ASSERT_EQ(first[2 * i + 1]->kid(1), first[2 * i]);
+    }
+    EXPECT_TRUE(build() == first);
+    EXPECT_EQ(b.numNodes(), count);
 }
 
 /**

@@ -393,6 +393,65 @@ TEST(EngineProfile, SymbolicRunChargesSymbolicAndForkPhases)
     EXPECT_EQ(engine.stats().get("engine.phase.fork.spans"), 7u);
 }
 
+TEST(EngineProfile, SymbolicSpanOpensOncePerBlock)
+{
+    // One block (hlt ends it) whose ALU ops all read a symbolic
+    // register: the symbolic span opens at the first and covers the
+    // rest of the block, inside the slice's one concrete span.
+    core::EngineConfig config;
+    config.profileExecution = true;
+    core::Engine engine(machineFor(R"(
+        .entry main
+    main:
+        movi sp, 0x8000
+        s2e_symreg r1
+        add r2, r1
+        xor r2, r1
+        mul r2, r1
+        hlt
+    )"), config);
+    core::RunResult r = engine.run();
+    EXPECT_EQ(r.statesCreated, 1u);
+    const PhaseProfiler &p = engine.profiler();
+    EXPECT_EQ(p.stat(Phase::SymbolicExec).spans, 1u);
+    EXPECT_EQ(p.stat(Phase::ConcreteExec).spans, 1u);
+
+    RunReport report("one_block");
+    report.captureEngine(engine, r);
+    ASSERT_EQ(report.states().size(), 1u);
+    EXPECT_GE(report.states()[0].symInstructions, 3u);
+    EXPECT_GT(report.phaseFractionSum(), 0.0);
+    EXPECT_LE(report.phaseFractionSum(), 1.0);
+}
+
+TEST(EngineProfile, ConcreteSliceOpensOneSpan)
+{
+    // Eleven blocks, all concrete, in one 64-block timeslice.
+    core::EngineConfig config;
+    config.profileExecution = true;
+    core::Engine engine(machineFor(R"(
+        .entry main
+    main:
+        movi sp, 0x8000
+        movi r10, 10
+    loop:
+        subi r10, 1
+        cmpi r10, 0
+        jne loop
+        hlt
+    )"), config);
+    core::RunResult r = engine.run();
+    const PhaseProfiler &p = engine.profiler();
+    EXPECT_EQ(p.stat(Phase::ConcreteExec).spans, 1u);
+    EXPECT_EQ(p.stat(Phase::SymbolicExec).spans, 0u);
+    EXPECT_EQ(engine.stats().get("engine.phase.concrete.spans"), 1u);
+
+    RunReport report("concrete_slice");
+    report.captureEngine(engine, r);
+    EXPECT_GT(report.phaseFractionSum(), 0.0);
+    EXPECT_LE(report.phaseFractionSum(), 1.0);
+}
+
 // ------------------------------------------------------ Tracer dropped
 
 TEST(TracerDropped, PerPathCapIsCountedNotSilent)

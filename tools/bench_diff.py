@@ -1,76 +1,29 @@
 #!/usr/bin/env python3
-"""Diff two s2e.run_report.v1 bench JSON files and flag regressions.
+"""Diff two s2e.run_report.v1 bench JSON files.
 
-Compares the flat ``metrics`` map (plus top-level ``wall_seconds``) of
-a freshly generated report against a committed baseline. Every metric
-is classified by name into lower-is-better (times, byte counts,
-failure/overhead counters), higher-is-better (rates, utilizations,
-reduction factors, boolean ``_ok``/``_match`` gates) or
-direction-unknown; a change past the threshold in the *bad* direction
-is a regression. Direction-unknown metrics are reported but never
-flagged.
+Checks that a freshly generated report still carries every metric of a
+committed baseline, and prints how the flat ``metrics`` map (plus
+top-level ``wall_seconds``) moved, for information. One run of a bench
+against one baseline run cannot tell a regression from noise: the
+4-worker fork storm's ``memory_high_watermark_bytes`` alone ranges
+67-76 KB between identical runs. So magnitudes never fail the diff;
+judge them over repeated runs.
 
 Exit status:
-    0  no regression exceeds the threshold
-    1  magnitude regressions only (run_checks.sh treats these as
-       advisory — wall-clock metrics are noisy on shared machines)
+    0  both reports are readable and the fresh one has every baseline
+       metric
     2  schema/presence failure: a report is unreadable or not an
        s2e.run_report.v1, or a baseline metric is GONE from the fresh
        report. A counter that stopped being emitted is a wiring bug,
        not noise, so run_checks.sh gates on this hard.
 
 Usage:
-    tools/bench_diff.py BASELINE.json FRESH.json [--threshold 0.10]
+    tools/bench_diff.py BASELINE.json FRESH.json
 """
 
 import argparse
 import json
 import sys
-
-# Substring rules, first match wins. Wall-clock metrics are inherently
-# noisy on shared machines — that is what the threshold is for.
-LOWER_IS_BETTER = (
-    "_seconds",
-    "_micros",
-    "_bytes",
-    "overhead",
-    "failures",
-    "failure",
-    "dropped",
-    "retries",
-    "disagreements",
-    "unknown",
-    "timeouts",
-    "conflicts",
-    "queries",
-    "footprint",
-)
-HIGHER_IS_BETTER = (
-    "_per_sec",
-    "utilization",
-    "reduction",
-    "_match",
-    "_ok",
-    "_exact",
-    "accounted",
-    "absorbed",
-    "prunes",
-    "prune_rate",
-    "paths",
-    "coverage",
-)
-
-
-def direction(name):
-    """-1 = lower is better, +1 = higher is better, 0 = unknown."""
-    low = name.lower()
-    for pat in LOWER_IS_BETTER:
-        if pat in low:
-            return -1
-    for pat in HIGHER_IS_BETTER:
-        if pat in low:
-            return 1
-    return 0
 
 
 def load_metrics(path):
@@ -92,12 +45,9 @@ def load_metrics(path):
 
 def main():
     ap = argparse.ArgumentParser(
-        description="diff bench reports against a committed baseline")
+        description="check bench reports against a committed baseline")
     ap.add_argument("baseline")
     ap.add_argument("fresh")
-    ap.add_argument("--threshold", type=float, default=0.10,
-                    help="relative change that counts as a regression "
-                         "(default 0.10 = 10%%)")
     args = ap.parse_args()
 
     base_name, base = load_metrics(args.baseline)
@@ -106,49 +56,36 @@ def main():
         print(f"bench_diff: comparing different benches "
               f"({base_name} vs {fresh_name})", file=sys.stderr)
 
-    regressions = []
     gone = []
     rows = []
     for name in sorted(set(base) | set(fresh)):
         if name not in base:
-            rows.append((name, None, fresh[name], "new", ""))
+            rows.append((name, None, fresh[name], "new"))
             continue
         if name not in fresh:
-            rows.append((name, base[name], None, "GONE", ""))
+            rows.append((name, base[name], None, "GONE"))
             gone.append(name)
             continue
         b, f = float(base[name]), float(fresh[name])
         if b == f:
             continue
-        rel = (f - b) / abs(b) if b else float("inf")
-        d = direction(name)
-        bad = d != 0 and rel * d < 0 and abs(rel) > args.threshold
-        tag = "REGRESSION" if bad else ("improved" if d and rel * d > 0
-                                        and abs(rel) > args.threshold
-                                        else "changed")
-        rows.append((name, b, f, tag,
-                     f"{rel:+.1%}" if rel != float("inf") else "+inf"))
-        if bad:
-            regressions.append(name)
+        rows.append((name, b, f,
+                     f"{(f - b) / abs(b):+.1%}" if b else "+inf"))
 
     if not rows:
         print(f"bench_diff: {fresh_name}: no metric changes vs baseline")
         return 0
     width = max(len(r[0]) for r in rows)
-    for name, b, f, tag, rel in rows:
+    for name, b, f, delta in rows:
         bs = "-" if b is None else f"{b:g}"
         fs = "-" if f is None else f"{f:g}"
-        print(f"  {name:<{width}}  {bs:>14} -> {fs:<14} {rel:>8}  {tag}")
+        print(f"  {name:<{width}}  {bs:>14} -> {fs:<14} {delta:>8}")
     if gone:
         print(f"bench_diff: {len(gone)} baseline metric(s) gone from "
               f"the fresh report: {', '.join(gone)}", file=sys.stderr)
         return 2
-    if regressions:
-        print(f"bench_diff: {len(regressions)} regression(s) beyond "
-              f"{args.threshold:.0%}: {', '.join(regressions)}",
-              file=sys.stderr)
-        return 1
-    print(f"bench_diff: no regressions beyond {args.threshold:.0%}")
+    print(f"bench_diff: {fresh_name}: every baseline metric present; "
+          f"deltas are from single runs, for information only")
     return 0
 
 
