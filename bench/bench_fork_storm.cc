@@ -82,9 +82,8 @@ stormSource(unsigned bits, bool merge_prologue)
                          "    b%u:\n",
                          1u << b, b, 1u << b, b);
     // Redundant re-tests of already-taken conditions plus a masked
-    // bound check: branches every path crosses that never fork. The
-    // static value analysis decides them from the path constraints
-    // without SAT calls; with it disabled they cost real queries.
+    // bound check: branches every path crosses that never fork, each
+    // decided by a solver query against the path constraints.
     for (unsigned b = 0; b < bits && b < 3; ++b)
         src += strprintf("        testi r2, %u\n"
                          "        jeq r%u\n"
@@ -139,16 +138,13 @@ baseFootprint(const vm::MachineConfig &m)
 struct StormRun {
     core::RunResult result;
     uint64_t memWatermark = 0;    ///< engine.memory_high_watermark
-    uint64_t satQueries = 0;      ///< queries that reached the SAT core
-    uint64_t staticPrunes = 0;    ///< absint.static_prunes
-    uint64_t disagreements = 0;   ///< absint.disagreements
 };
 
 StormRun
 runStorm(const std::string &source, unsigned workers, uint64_t cap,
          bool merge_points,
          const core::lifecycle::SpillFaultPolicy &faults = {},
-         obs::RunReport *report = nullptr, bool use_absint = true,
+         obs::RunReport *report = nullptr,
          std::unique_ptr<core::Searcher> searcher = nullptr)
 {
     core::EngineConfig config;
@@ -156,20 +152,12 @@ runStorm(const std::string &source, unsigned workers, uint64_t cap,
     config.maxResidentBytes = cap;
     config.enableMergePoints = merge_points;
     config.spillFaults = faults;
-    config.solverOptions.useAbsint = use_absint;
-    // Measurement harness: the verify oracle re-solves every static
-    // verdict and would mask the query savings.
-    config.solverOptions.verifyAbsint = false;
     core::Engine engine(machineFor(source), config);
     if (searcher)
         engine.setSearcher(std::move(searcher));
     StormRun out;
     out.result = engine.run();
     out.memWatermark = engine.stats().get("engine.memory_high_watermark");
-    Stats &ss = engine.solver().stats();
-    out.satQueries = ss.get("solver.sat_queries");
-    out.staticPrunes = ss.get("absint.static_prunes");
-    out.disagreements = ss.get("absint.disagreements");
     if (report)
         report->captureEngine(engine, out.result);
     return out;
@@ -231,7 +219,7 @@ main(int argc, char **argv)
     // depth-first oracle finishes each path before forking the next
     // and never holds more than a dozen states.
     StormRun oracle =
-        runStorm(source, 1, 0, true, {}, nullptr, true,
+        runStorm(source, 1, 0, true, {}, nullptr,
                  std::make_unique<plugins::BreadthFirstSearcher>());
     printRun("all-resident (1 worker)", oracle);
     StormRun capped = runStorm(source, workers, cap, true, {}, &report);
@@ -260,48 +248,6 @@ main(int argc, char **argv)
     report.setMetric("uncapped_memory_high_watermark_bytes",
                      double(oracle.memWatermark));
     report.setMetric("memory_watermark_reduction_x", watermark_reduction);
-
-    // Static reasoning on the storm's re-test tail: the same workload
-    // at a smaller path count with abstract interpretation on vs off.
-    // Path counts must match; the absint run answers the re-tests and
-    // the masked bound check without the SAT core.
-    unsigned absint_bits = bits >= 7 ? 7 : bits;
-    std::string absint_src = stormSource(absint_bits, false);
-    std::printf("\n--- static reasoning (absint) on the re-test tail "
-                "(2^%u paths) ---\n",
-                absint_bits);
-    StormRun absint_on =
-        runStorm(absint_src, workers, 0, false, {}, nullptr, true);
-    StormRun absint_off =
-        runStorm(absint_src, workers, 0, false, {}, nullptr, false);
-    double sat_query_reduction =
-        absint_off.satQueries > 0
-            ? 1.0 - double(absint_on.satQueries) /
-                        double(absint_off.satQueries)
-            : 0.0;
-    std::printf("%-28s %14llu\n", "absint.static_prunes",
-                static_cast<unsigned long long>(absint_on.staticPrunes));
-    std::printf("%-28s %14llu\n", "sat queries (absint on)",
-                static_cast<unsigned long long>(absint_on.satQueries));
-    std::printf("%-28s %14llu\n", "sat queries (absint off)",
-                static_cast<unsigned long long>(absint_off.satQueries));
-    std::printf("%-28s %13.1f%%\n", "sat-query reduction",
-                sat_query_reduction * 100.0);
-    report.setMetric("absint_static_prunes",
-                     double(absint_on.staticPrunes));
-    report.setMetric("absint_disagreements",
-                     double(absint_on.disagreements));
-    report.setMetric("sat_queries_absint_on",
-                     double(absint_on.satQueries));
-    report.setMetric("sat_queries_absint_off",
-                     double(absint_off.satQueries));
-    report.setMetric("absint_sat_query_reduction_fraction",
-                     sat_query_reduction);
-    report.setMetric("absint_paths_match",
-                     absint_on.result.completed ==
-                             absint_off.result.completed
-                         ? 1.0
-                         : 0.0);
 
     // Spill-I/O resilience at a smaller path count (the fault draws
     // hit every op, so the interesting part is the ladder, not scale).
@@ -378,15 +324,5 @@ main(int argc, char **argv)
     std::printf("Resilience check: persistent restore faults kill "
                 "cleanly, accounting exact: %s\n",
                 kills_accounted ? "YES" : "NO");
-    std::printf("Absint check: re-test tail pruned statically "
-                "(static_prunes > 0): %s\n",
-                absint_on.staticPrunes > 0 ? "YES" : "NO");
-    std::printf("Absint check: fewer SAT queries than with absint off, "
-                "same paths: %s\n",
-                absint_on.satQueries < absint_off.satQueries &&
-                        absint_on.result.completed ==
-                            absint_off.result.completed
-                    ? "YES"
-                    : "NO");
     return 0;
 }

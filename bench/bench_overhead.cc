@@ -114,10 +114,6 @@ struct EngineRun {
     uint64_t ctxReuses = 0;    ///< per-path incremental context reuses
     uint64_t gatesSaved = 0;   ///< bit-blast gates skipped via guards
     uint64_t ctxEvictions = 0; ///< contexts dropped at the high-water
-    uint64_t satQueries = 0;   ///< queries that reached the SAT core
-    uint64_t absintPrunes = 0; ///< queries answered statically
-    uint64_t absintDisagreements = 0; ///< verify-oracle mismatches
-    uint64_t absintFixpointIters = 0;
     size_t solverFailures = 0;
     size_t degradedStates = 0;
     size_t heartbeats = 0;
@@ -126,8 +122,7 @@ struct EngineRun {
 };
 
 EngineRun
-runEngine(bool symbolic, bool profile, obs::RunReport *report = nullptr,
-          bool use_absint = true)
+runEngine(bool symbolic, bool profile, obs::RunReport *report = nullptr)
 {
     vm::MachineConfig m;
     m.ramSize = 64 * 1024;
@@ -137,10 +132,6 @@ runEngine(bool symbolic, bool profile, obs::RunReport *report = nullptr,
     };
     core::EngineConfig config;
     config.profileExecution = profile;
-    config.solverOptions.useAbsint = use_absint;
-    // This is a measurement harness: the verify oracle would re-solve
-    // every statically answered query and mask the savings.
-    config.solverOptions.verifyAbsint = false;
     core::Engine engine(m, config);
     obs::Heartbeat::Config hb_config;
     hb_config.everyBlocks = 8192;
@@ -162,10 +153,6 @@ runEngine(bool symbolic, bool profile, obs::RunReport *report = nullptr,
     out.ctxReuses = ss.get("solver.ctx_reuses");
     out.gatesSaved = ss.get("solver.gates_saved");
     out.ctxEvictions = ss.get("solver.ctx_evictions");
-    out.satQueries = ss.get("solver.sat_queries");
-    out.absintPrunes = ss.get("absint.static_prunes");
-    out.absintDisagreements = ss.get("absint.disagreements");
-    out.absintFixpointIters = ss.get("absint.fixpoint_iters");
     out.solverFailures = r.solverFailures;
     out.degradedStates = r.degradedStates;
     out.heartbeats = heartbeat.records().size();
@@ -543,53 +530,6 @@ main(int argc, char **argv)
     report.setMetric("incremental_answers_match",
                      answers_match ? 1.0 : 0.0);
 
-    // Solver-free static reasoning: the same symbolic workload with
-    // abstract interpretation disabled. The re-test tail's branches
-    // are statically decidable from the path constraints, so the
-    // absint run must answer them without the SAT core and show a
-    // measurable drop in solver.sat_queries at identical path counts.
-    std::printf("\n--- solver-free static reasoning (absint) ---\n");
-    EngineRun absint_off = runEngine(true, false, nullptr,
-                                     /*use_absint=*/false);
-    const EngineRun &absint_on = symbolic_run; // absint is the default
-    double sat_reduction =
-        absint_off.satQueries > 0
-            ? 1.0 - static_cast<double>(absint_on.satQueries) /
-                        static_cast<double>(absint_off.satQueries)
-            : 0.0;
-    double prune_rate =
-        absint_on.solverQueries > 0
-            ? static_cast<double>(absint_on.absintPrunes) /
-                  static_cast<double>(absint_on.solverQueries)
-            : 0.0;
-    std::printf("%-28s %14llu\n", "absint.static_prunes",
-                static_cast<unsigned long long>(absint_on.absintPrunes));
-    std::printf("%-28s %14llu\n", "absint.fixpoint_iters",
-                static_cast<unsigned long long>(
-                    absint_on.absintFixpointIters));
-    std::printf("%-28s %14llu\n", "absint.disagreements",
-                static_cast<unsigned long long>(
-                    absint_on.absintDisagreements));
-    std::printf("%-28s %14llu\n", "sat queries (absint on)",
-                static_cast<unsigned long long>(absint_on.satQueries));
-    std::printf("%-28s %14llu\n", "sat queries (absint off)",
-                static_cast<unsigned long long>(absint_off.satQueries));
-    std::printf("%-28s %13.1f%%\n", "sat-query reduction",
-                sat_reduction * 100.0);
-    report.setMetric("absint_static_prunes",
-                     double(absint_on.absintPrunes));
-    report.setMetric("absint_prune_rate", prune_rate);
-    report.setMetric("absint_disagreements",
-                     double(absint_on.absintDisagreements));
-    report.setMetric("absint_fixpoint_iters",
-                     double(absint_on.absintFixpointIters));
-    report.setMetric("sat_queries_absint_on",
-                     double(absint_on.satQueries));
-    report.setMetric("sat_queries_absint_off",
-                     double(absint_off.satQueries));
-    report.setMetric("absint_sat_query_reduction_fraction",
-                     sat_reduction);
-
     report.writeBenchFile();
 
     std::printf("\nShape check vs paper: symbolic >> concrete > vanilla "
@@ -624,14 +564,5 @@ main(int argc, char **argv)
     std::printf("Lifecycle check: capped path count matches uncapped: "
                 "%s\n",
                 capped_run.completed == parallel_paths ? "YES" : "NO");
-    std::printf("Absint check: static prunes on the symbolic workload "
-                "(> 0): %s\n",
-                absint_on.absintPrunes > 0 ? "YES" : "NO");
-    std::printf("Absint check: fewer SAT queries than with absint off: "
-                "%s\n",
-                absint_on.satQueries < absint_off.satQueries ? "YES"
-                                                             : "NO");
-    std::printf("Absint check: zero disagreements recorded: %s\n",
-                absint_on.absintDisagreements == 0 ? "YES" : "NO");
     return 0;
 }

@@ -153,29 +153,12 @@ symbolicBinary(UOp op, ExprRef a, ExprRef b, ExprBuilder &bld)
     }
 }
 
-/**
- * RC-CC (ignoreFeasibility) deliberately lets paths accumulate
- * contradictory constraint sets — static feasibility reasoning is
- * meaningless there, and its static-Sat verdicts (which lean on the
- * satisfiable-set invariant) would register false disagreements
- * against the SAT oracle. Force absint off for such runs; every
- * other option passes through untouched.
- */
-solver::SolverOptions
-effectiveSolverOptions(const EngineConfig &config)
-{
-    solver::SolverOptions o = config.solverOptions;
-    if (policyFor(config.model).ignoreFeasibility)
-        o.useAbsint = false;
-    return o;
-}
-
 } // namespace
 
 Engine::Engine(vm::MachineConfig machine, EngineConfig config)
     : machine_(std::move(machine)), config_(config),
       policy_(policyFor(config.model)), builder_(),
-      solver_(builder_, effectiveSolverOptions(config)),
+      solver_(builder_, config.solverOptions),
       profiler_(config.profileExecution),
       concretizationSites_(stats_, "engine.concretizations"),
       degradeSites_(stats_, "engine.solver_degraded"),
@@ -186,9 +169,6 @@ Engine::Engine(vm::MachineConfig machine, EngineConfig config)
       }),
       searcher_(std::make_unique<DfsSearcher>())
 {
-    // Worker solvers clone their options from config_ — keep it in
-    // sync with the sanitized set the engine solver received.
-    config_.solverOptions = effectiveSolverOptions(config);
     config_.numWorkers = std::max(1u, config_.numWorkers);
 
     // Register every per-event counter once; the run loop then updates

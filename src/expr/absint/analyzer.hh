@@ -20,6 +20,9 @@
  * mean the constraint set itself is statically contradictory — the
  * engine's path invariant rules that out for well-formed paths, so
  * consumers treat bottom as "no verdict" rather than Unsat.
+ *
+ * The solver does not consult the Analyzer (DESIGN.md has the
+ * measurements); the repo benchmark's per-layer ladder times it.
  */
 
 #ifndef S2E_EXPR_ABSINT_ANALYZER_HH
@@ -31,14 +34,6 @@
 #include "expr/absint/transfer.hh"
 
 namespace s2e::expr::absint {
-
-/** Verify-every-static-verdict default: on for debug builds, off for
- *  release (the `ctest -L absint` suite turns it on explicitly). */
-#ifdef NDEBUG
-inline constexpr bool kAbsintVerifyDefault = false;
-#else
-inline constexpr bool kAbsintVerifyDefault = true;
-#endif
 
 /** Facts derived from one constraint set. */
 struct Facts {

@@ -5,12 +5,10 @@
  * evalExpr computes an AbsValue for every node bottom-up, mirroring
  * ExprBuilder::foldBinary's total-function semantics exactly
  * (division by zero yields all-ones, shifts past the width yield
- * zero / sign-fill, ...). When a refined fact map is supplied (facts
- * derived from path constraints, see analyzer.hh) each node's
- * transfer result is met with its recorded fact, so whole-path
- * information flows into every consumer: the solver's static
- * feasibility pre-check, getRange seeding, and the simplifier's
- * known-bits collapse.
+ * zero / sign-fill, ...). The simplifier's known-bits collapse and
+ * expr::knownBits are built on it. When a refined fact map is
+ * supplied (facts derived from path constraints, see analyzer.hh)
+ * each node's transfer result is met with its recorded fact.
  */
 
 #ifndef S2E_EXPR_ABSINT_TRANSFER_HH

@@ -2,8 +2,6 @@
 
 #include <unordered_map>
 
-#include "expr/absint/analyzer.hh"
-
 namespace s2e::expr {
 
 namespace {
@@ -24,18 +22,6 @@ knownBits(ExprRef e)
     return absint::evalExpr(e, nullptr, memo).kb;
 }
 
-void
-Simplifier::setFacts(const absint::Facts *facts)
-{
-    uint64_t gen = facts ? facts->generation : 0;
-    if (gen != factsGen_) {
-        factsAbs_.clear();
-        factsMemo_.clear();
-        factsGen_ = gen;
-    }
-    facts_ = facts;
-}
-
 ExprRef
 Simplifier::simplify(ExprRef e)
 {
@@ -52,9 +38,8 @@ Simplifier::simplifyDemanded(ExprRef e, uint64_t demanded)
         return builder_.constant(0, e->width());
 
     Key key{e, demanded};
-    auto &memo = facts_ ? factsMemo_ : memo_;
-    auto it = memo.find(key);
-    if (it != memo.end())
+    auto it = memo_.find(key);
+    if (it != memo_.end())
         return it->second;
 
     ExprBuilder &b = builder_;
@@ -225,12 +210,9 @@ Simplifier::simplifyDemanded(ExprRef e, uint64_t demanded)
 
     // Known-bits collapse: if every demanded bit of the result is
     // statically known, fold to a constant (undemanded bits become 0,
-    // which the demanded-bits contract allows). Whole-path facts, when
-    // set, let constraint-derived knowledge participate.
+    // which the demanded-bits contract allows).
     if (!out->isConstant()) {
-        const absint::AbsValue v =
-            facts_ ? absint::evalExpr(out, &facts_->refined, factsAbs_)
-                   : absint::evalExpr(out, nullptr, pureAbs_);
+        const absint::AbsValue v = absint::evalExpr(out, nullptr, pureAbs_);
         if (!v.isBottom() &&
             (demanded & ~(v.kb.zeros | v.kb.ones)) == 0) {
             stats_.constantsFolded++;
@@ -238,7 +220,7 @@ Simplifier::simplifyDemanded(ExprRef e, uint64_t demanded)
         }
     }
 
-    memo[key] = out;
+    memo_[key] = out;
     return out;
 }
 

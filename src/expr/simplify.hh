@@ -24,10 +24,6 @@
 
 namespace s2e::expr {
 
-namespace absint {
-struct Facts;
-}
-
 /**
  * Compute the known-bits lattice value for an expression. Exposed for
  * tests and for the solver's fast path (a constraint whose known bits
@@ -69,16 +65,6 @@ class Simplifier
         return simplifyDemanded(e, demanded);
     }
 
-    /**
-     * Use whole-path absint facts for the known-bits collapse (nullptr
-     * reverts to context-free). While facts are set, results are only
-     * equivalent on assignments *satisfying the analyzed constraints*
-     * — callers must restrict use to the query side of a satisfiability
-     * check, never to the constraints themselves. The facts object
-     * must outlive the simplify calls made under it.
-     */
-    void setFacts(const absint::Facts *facts);
-
     const SimplifyStats &stats() const { return stats_; }
     void resetStats() { stats_ = SimplifyStats(); }
 
@@ -87,10 +73,7 @@ class Simplifier
 
     ExprBuilder &builder_;
     SimplifyStats stats_;
-    const absint::Facts *facts_ = nullptr;
-    absint::FactMap pureAbs_;  ///< context-free abstract-value cache
-    absint::FactMap factsAbs_; ///< facts-scoped cache (per generation)
-    uint64_t factsGen_ = 0;
+    absint::FactMap pureAbs_; ///< context-free abstract-value cache
     // Memo keyed by (expr, demanded mask).
     struct Key {
         ExprRef e;
@@ -109,10 +92,6 @@ class Simplifier
         }
     };
     std::unordered_map<Key, ExprRef, KeyHash> memo_;
-    // Separate memo while facts are active: facts-conditioned results
-    // must never leak into (or out of) the context-free cache. Cleared
-    // whenever the facts generation changes.
-    std::unordered_map<Key, ExprRef, KeyHash> factsMemo_;
 };
 
 } // namespace s2e::expr

@@ -79,17 +79,6 @@ Solver::Solver(expr::ExprBuilder &builder, SolverOptions opts)
     hot_.timeouts = &stats_.counterSlot("solver.timeouts");
     hot_.branchShortCircuits =
         &stats_.counterSlot("solver.branch_short_circuits");
-    hot_.absintPrunes = &stats_.counterSlot("absint.static_prunes");
-    hot_.absintStaticSat = &stats_.counterSlot("absint.static_sat");
-    hot_.absintStaticUnsat = &stats_.counterSlot("absint.static_unsat");
-    hot_.absintSimplifyFolds = &stats_.counterSlot("absint.simplify_folds");
-    hot_.absintRangeSeeds = &stats_.counterSlot("absint.range_seeds");
-    hot_.absintDisagreements = &stats_.counterSlot("absint.disagreements");
-    hot_.absintUnknownRescues =
-        &stats_.counterSlot("absint.unknown_rescues");
-    absint_.bindCounters(&stats_.counterSlot("absint.facts_computed"),
-                         &stats_.counterSlot("absint.fact_reuses"),
-                         &stats_.counterSlot("absint.fixpoint_iters"));
     hot_.time = &stats_.timerSlot("solver.time");
     hot_.simplifyTime = &stats_.timerSlot("solver.simplify_time");
     hot_.satTime = &stats_.timerSlot("solver.sat_time");
@@ -275,114 +264,16 @@ Solver::solveSat(const std::vector<ExprRef> &constraints, ExprRef query,
         return out;
     }
 
-    // Static feasibility pre-check (abstract interpretation over the
-    // constraint set). Sits after the fault shim and the constant fast
-    // paths — query numbering and trivial answers are untouched — and
-    // before slicing, which a static verdict makes unnecessary.
-    ExprRef sat_q = q;
-    if (opts_.useAbsint && !model && !cs.empty()) {
-        std::shared_ptr<expr::absint::Facts> facts = absint_.analyze(cs);
-        std::optional<CheckResult> verdict;
-        if (!facts->bottom) {
-            // Bottom facts mean the constraint set itself is statically
-            // contradictory; the engine's path invariant rules that out,
-            // so rather than guess whose contract is broken we punt to
-            // the SAT tail. Otherwise, abstractly evaluate the query.
-            const expr::absint::AbsValue v = absint_.eval(q, *facts);
-            if (!v.isBottom() && v.isConstant()) {
-                if (v.constantValue() == 0) {
-                    // No model of cs can make q true: cs && q is Unsat.
-                    // Sound unconditionally (over-approximation).
-                    verdict = CheckResult::Unsat;
-                } else if (opts_.useIndependence) {
-                    // Every model of cs makes q true, and the
-                    // satisfiable-set invariant (the contract slicing
-                    // states) guarantees cs has one.
-                    verdict = CheckResult::Sat;
-                }
-            }
-            if (!verdict) {
-                // Facts-aware query simplification: constraint-derived
-                // bits can fold subterms context-free simplification
-                // cannot. Applied only to the query — simplifying
-                // constraints under their own facts would be
-                // self-justifying.
-                simplifier_.setFacts(facts.get());
-                ExprRef q2 = simplifier_.simplify(q);
-                simplifier_.setFacts(nullptr);
-                if (q2->isFalse()) {
-                    verdict = CheckResult::Unsat;
-                    (*hot_.absintSimplifyFolds)++;
-                } else if (q2->isTrue() && opts_.useIndependence) {
-                    verdict = CheckResult::Sat;
-                    (*hot_.absintSimplifyFolds)++;
-                } else if (!q2->isTrue()) {
-                    // q2 agrees with q pointwise on every model of cs,
-                    // so the SAT tail may decide the simpler query.
-                    sat_q = q2;
-                }
-            }
-        }
-        if (verdict) {
-            (*hot_.absintPrunes)++;
-            if (*verdict == CheckResult::Sat)
-                (*hot_.absintStaticSat)++;
-            else
-                (*hot_.absintStaticUnsat)++;
-            out.result = *verdict;
-            if (opts_.verifyAbsint) {
-                // Differential oracle: the full pipeline must agree
-                // with the static verdict. A solver give-up is not a
-                // disagreement — the static answer rescues it.
-                QueryOutcome oracle;
-                solveSatPipeline(cs, q, nullptr, oracle);
-                out.conflicts += oracle.conflicts;
-                out.retries += oracle.retries;
-                if (oracle.isUnknown()) {
-                    (*hot_.absintUnknownRescues)++;
-                } else if (oracle.result != *verdict) {
-                    (*hot_.absintDisagreements)++;
-                    S2E_ASSERT(false,
-                               "absint verdict disagrees with solver");
-                }
-            }
-            return out;
-        }
-    }
-
-    solveSatPipeline(cs, sat_q, model, out);
-    if (sat_q != q && opts_.verifyAbsint) {
-        // Oracle for the facts-simplified query: the original must
-        // decide the same way (Unknown on either side proves nothing).
-        QueryOutcome oracle;
-        solveSatPipeline(cs, q, nullptr, oracle);
-        out.conflicts += oracle.conflicts;
-        out.retries += oracle.retries;
-        if (!oracle.isUnknown() && !out.isUnknown() &&
-            oracle.result != out.result) {
-            (*hot_.absintDisagreements)++;
-            S2E_ASSERT(false,
-                       "facts-simplified query disagrees with original");
-        }
-    }
-    return out;
-}
-
-void
-Solver::solveSatPipeline(const std::vector<ExprRef> &cs, ExprRef q,
-                         Assignment *model, QueryOutcome &out)
-{
     // Independence slicing. Skipped when the caller wants a model:
     // a model must satisfy the *entire* constraint set, including
     // constraints unrelated to the query expression.
-    std::vector<ExprRef> sliced =
-        model ? cs : sliceIndependent(cs, q);
+    std::vector<ExprRef> sliced = model ? cs : sliceIndependent(cs, q);
 
     // Model cache.
     if (tryCachedModels(sliced, q, model)) {
         (*hot_.cacheSat)++;
         out.result = CheckResult::Sat;
-        return;
+        return out;
     }
 
     // Full SAT solving — through the path's persistent incremental
@@ -440,7 +331,7 @@ Solver::solveSatPipeline(const std::vector<ExprRef> &cs, ExprRef q,
         blaster->assertTrue(q);
         if (sat->inConflict()) {
             out.result = CheckResult::Unsat;
-            return;
+            return out;
         }
     }
 
@@ -469,13 +360,13 @@ Solver::solveSatPipeline(const std::vector<ExprRef> &cs, ExprRef q,
     switch (res) {
       case sat::SatResult::Unsat:
         out.result = CheckResult::Unsat;
-        return;
+        return out;
       case sat::SatResult::Unknown:
         out.result = CheckResult::Unknown;
         out.timedOut = sat->lastStopWasDeadline();
         if (out.timedOut)
             (*hot_.timeouts)++;
-        return;
+        return out;
       case sat::SatResult::Sat: {
         Assignment a;
         if (ctx) {
@@ -515,7 +406,7 @@ Solver::solveSatPipeline(const std::vector<ExprRef> &cs, ExprRef q,
         if (model)
             *model = std::move(a);
         out.result = CheckResult::Sat;
-        return;
+        return out;
       }
     }
     panic("unreachable");
@@ -646,27 +537,8 @@ Solver::getRange(const std::vector<ExprRef> &constraints, ExprRef query,
         return agg;
     }
 
-    // Static seeding: abstract interpretation bounds the search window
-    // before the first SAT call. The true min/max lie inside
-    // [umin, umax] (the abstraction over-approximates the model set),
-    // so a narrowed window converges to the same answers with fewer
-    // feasibility probes.
-    uint64_t search_lo = 0, search_hi = lowMask(w);
-    if (opts_.useAbsint && !constraints.empty()) {
-        std::shared_ptr<expr::absint::Facts> facts =
-            absint_.analyze(constraints);
-        if (!facts->bottom) {
-            const expr::absint::AbsValue v = absint_.eval(query, *facts);
-            if (!v.isBottom() && (v.umin > 0 || v.umax < lowMask(w))) {
-                search_lo = v.umin;
-                search_hi = v.umax;
-                (*hot_.absintRangeSeeds)++;
-            }
-        }
-    }
-
     // Binary search for the minimum.
-    uint64_t lo = search_lo, hi = search_hi;
+    uint64_t lo = 0, hi = lowMask(w);
     while (lo < hi && !unknown) {
         uint64_t mid = lo + (hi - lo) / 2;
         if (feasible_le(mid))
@@ -681,7 +553,7 @@ Solver::getRange(const std::vector<ExprRef> &constraints, ExprRef query,
     uint64_t min_v = lo;
 
     lo = min_v;
-    hi = search_hi;
+    hi = lowMask(w);
     while (lo < hi && !unknown) {
         uint64_t mid = lo + (hi - lo + 1) / 2;
         if (feasible_ge(mid))

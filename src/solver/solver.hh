@@ -24,7 +24,6 @@
 #include <optional>
 #include <vector>
 
-#include "expr/absint/analyzer.hh"
 #include "expr/builder.hh"
 #include "expr/eval.hh"
 #include "expr/simplify.hh"
@@ -45,28 +44,22 @@ using sat::QueryBudget;
 /** Solver feature switches (benchmarkable ablations) and budgets. */
 struct SolverOptions {
     bool useSimplifier = true;   ///< §5 bitfield simplifier
-    bool useIndependence = true; ///< constraint independence slicing
-    bool useModelCache = true;   ///< counterexample cache / model reuse
+    /** Constraint independence slicing. Off, the solver decides
+     *  exactly the constraint set it is given: the reference that
+     *  SliceDifferential.MemoizedSliceMatchesReference checks the
+     *  slicing against. */
+    bool useIndependence = true;
+    /** Counterexample cache / model reuse. Off, every answer comes
+     *  from SAT, independent of query history: the differential
+     *  harness (tests/support/differential.hh) turns it off so path
+     *  sets compare across schedules. */
+    bool useModelCache = true;
     /** Per-path incremental SAT contexts (activation-literal guarded
      *  constraint reuse; see context.hh). Only effective while a path
      *  context slot is bound (bindPathContext); with no slot, or with
      *  this off, every query builds a fresh solver — the differential
      *  oracle the incremental path is validated against. */
     bool useIncremental = true;
-    /** Static feasibility pre-check: abstract interpretation over the
-     *  constraint set answers statically-decidable queries without
-     *  bit-blasting, seeds getRange's binary search, and feeds
-     *  whole-path facts into query simplification (see
-     *  expr/absint/). Static-Unsat verdicts are unconditionally
-     *  sound; static-Sat verdicts additionally rely on the
-     *  satisfiable-constraint-set invariant, so they are only issued
-     *  while useIndependence (which states that contract) is on. */
-    bool useAbsint = true;
-    /** Differential oracle: re-run the full SAT pipeline after every
-     *  static verdict and compare (absint.disagreements counts, and
-     *  asserts on, mismatches). Defaults on in debug builds; the
-     *  `ctest -L absint` suite enables it explicitly. */
-    bool verifyAbsint = expr::absint::kAbsintVerifyDefault;
     uint64_t maxCtxGates = 1u << 18;   ///< ctx eviction high-water (gates)
     uint64_t maxCtxClauses = 1u << 19; ///< ditto (clauses incl. learnts)
     int64_t maxConflicts = -1;   ///< SAT conflict budget per query
@@ -300,17 +293,12 @@ class Solver
   private:
     QueryOutcome solveSat(const std::vector<ExprRef> &constraints,
                           ExprRef expr, Assignment *model);
-    /** Slicing -> model cache -> SAT tail of solveSat, shared by the
-     *  normal path and the absint differential oracle. */
-    void solveSatPipeline(const std::vector<ExprRef> &cs, ExprRef q,
-                          Assignment *model, QueryOutcome &out);
     bool tryCachedModels(const std::vector<ExprRef> &constraints,
                          ExprRef expr, Assignment *model);
     bool faultTriggers(uint64_t query_index);
 
     expr::ExprBuilder &builder_;
     expr::Simplifier simplifier_;
-    expr::absint::Analyzer absint_;
     SolverOptions opts_;
     Stats stats_;
     obs::PhaseProfiler *profiler_ = nullptr;
@@ -335,13 +323,6 @@ class Solver
         uint64_t *retries = nullptr;
         uint64_t *timeouts = nullptr;
         uint64_t *branchShortCircuits = nullptr;
-        uint64_t *absintPrunes = nullptr;
-        uint64_t *absintStaticSat = nullptr;
-        uint64_t *absintStaticUnsat = nullptr;
-        uint64_t *absintSimplifyFolds = nullptr;
-        uint64_t *absintRangeSeeds = nullptr;
-        uint64_t *absintDisagreements = nullptr;
-        uint64_t *absintUnknownRescues = nullptr;
         double *time = nullptr;
         double *simplifyTime = nullptr;
         double *satTime = nullptr;

@@ -1,32 +1,18 @@
 /**
  * @file
  * Static value-analysis (absint) suite: abstract-domain algebra,
- * transfer-function soundness against the concrete evaluator,
- * constraint-driven backward refinement, the solver's static
- * feasibility pre-check with its differential oracle, and
- * engine-level differentials (absint on vs off must explore
- * identical fork trees at 1/2/4 workers, with zero recorded
- * disagreements and a nonzero static-prune count on workloads built
- * to have statically decidable branches).
+ * transfer-function soundness against the concrete evaluator (the
+ * simplifier's known-bits collapse is built on it), and the
+ * constraint-driven backward refinement of the Analyzer.
  */
 
 #include <gtest/gtest.h>
 
-#include <map>
-#include <string>
-
-#include "core/engine.hh"
 #include "expr/absint/absval.hh"
 #include "expr/absint/analyzer.hh"
 #include "expr/builder.hh"
 #include "expr/eval.hh"
-#include "guest/kernel.hh"
-#include "guest/layout.hh"
-#include "guest/workloads.hh"
-#include "obs/forktree.hh"
-#include "solver/solver.hh"
 #include "support/rng.hh"
-#include "vm/devices.hh"
 
 namespace s2e {
 namespace {
@@ -36,7 +22,6 @@ using expr::ExprBuilder;
 using expr::ExprRef;
 using expr::absint::AbsValue;
 using expr::absint::Analyzer;
-using expr::absint::Facts;
 
 // --- Abstract domain algebra ---------------------------------------------
 
@@ -318,404 +303,6 @@ TEST(AbsintAnalyzer, PropertyRefinedFactsContainWitness)
                 << node->toString() << " excludes witness value " << cv;
         }
     }
-}
-
-// --- Solver integration ---------------------------------------------------
-
-solver::SolverOptions
-absintOptions(bool verify, bool independence = true)
-{
-    solver::SolverOptions o;
-    o.useAbsint = true;
-    o.verifyAbsint = verify;
-    o.useIndependence = independence;
-    return o;
-}
-
-TEST(AbsintSolver, StaticSatAnswersWithoutSatCall)
-{
-    ExprBuilder b;
-    solver::Solver s(b, absintOptions(/*verify=*/false));
-    ExprRef x = b.var("x", 32);
-    std::vector<ExprRef> cs = {b.ult(x, b.constant(10, 32))};
-    auto out = s.mayBeTrue(cs, b.ult(x, b.constant(100, 32)));
-    EXPECT_TRUE(out.isSat());
-    EXPECT_EQ(s.stats().get("solver.sat_queries"), 0u);
-    EXPECT_EQ(s.stats().get("absint.static_prunes"), 1u);
-    EXPECT_EQ(s.stats().get("absint.static_sat"), 1u);
-}
-
-TEST(AbsintSolver, StaticUnsatAnswersWithoutSatCall)
-{
-    ExprBuilder b;
-    solver::Solver s(b, absintOptions(/*verify=*/false));
-    ExprRef x = b.var("x", 32);
-    std::vector<ExprRef> cs = {b.ult(x, b.constant(10, 32))};
-    auto out = s.mayBeTrue(cs, b.eq(x, b.constant(50, 32)));
-    EXPECT_TRUE(out.isUnsat());
-    EXPECT_EQ(s.stats().get("solver.sat_queries"), 0u);
-    EXPECT_EQ(s.stats().get("absint.static_unsat"), 1u);
-}
-
-TEST(AbsintSolver, VerifyModeRunsOracleAndAgrees)
-{
-    ExprBuilder b;
-    solver::Solver s(b, absintOptions(/*verify=*/true));
-    ExprRef x = b.var("x", 32);
-    std::vector<ExprRef> cs = {b.ult(x, b.constant(10, 32))};
-    EXPECT_TRUE(s.mayBeTrue(cs, b.ult(x, b.constant(100, 32))).isSat());
-    EXPECT_TRUE(s.mayBeTrue(cs, b.eq(x, b.constant(50, 32))).isUnsat());
-    EXPECT_EQ(s.stats().get("absint.static_prunes"), 2u);
-    EXPECT_GT(s.stats().get("solver.sat_queries"), 0u); // the oracle ran
-    EXPECT_EQ(s.stats().get("absint.disagreements"), 0u);
-}
-
-TEST(AbsintSolver, RawModeIssuesNoStaticSat)
-{
-    // Without independence slicing there is no satisfiable-set
-    // invariant, so only Unsat verdicts may be issued statically.
-    ExprBuilder b;
-    solver::Solver s(b, absintOptions(/*verify=*/false,
-                                      /*independence=*/false));
-    ExprRef x = b.var("x", 32);
-    std::vector<ExprRef> cs = {b.ult(x, b.constant(10, 32))};
-    auto sat = s.mayBeTrue(cs, b.ult(x, b.constant(100, 32)));
-    EXPECT_TRUE(sat.isSat());
-    EXPECT_EQ(s.stats().get("absint.static_sat"), 0u);
-    EXPECT_GT(s.stats().get("solver.sat_queries"), 0u);
-    auto unsat = s.mayBeTrue(cs, b.eq(x, b.constant(50, 32)));
-    EXPECT_TRUE(unsat.isUnsat());
-    EXPECT_EQ(s.stats().get("absint.static_unsat"), 1u);
-}
-
-TEST(AbsintSolver, MustBeTrueBenefitsFromRefinement)
-{
-    ExprBuilder b;
-    solver::Solver s(b, absintOptions(/*verify=*/true));
-    ExprRef x = b.var("x", 32);
-    std::vector<ExprRef> cs = {b.ult(x, b.constant(10, 32))};
-    // must(x < 16): the negation is statically Unsat.
-    EXPECT_TRUE(s.mustBeTrue(cs, b.ult(x, b.constant(16, 32))).yes());
-    EXPECT_GE(s.stats().get("absint.static_unsat"), 1u);
-    EXPECT_EQ(s.stats().get("absint.disagreements"), 0u);
-}
-
-TEST(AbsintSolver, CheckBranchPrunesBothSidesOfRedundantTest)
-{
-    ExprBuilder b;
-    solver::Solver s(b, absintOptions(/*verify=*/false));
-    ExprRef x = b.var("x", 32);
-    ExprRef c = b.ult(x, b.constant(10, 32));
-    auto f = s.checkBranch({c}, c);
-    EXPECT_TRUE(f.trueSide.isSat());
-    EXPECT_TRUE(f.falseSide.isUnsat());
-    EXPECT_EQ(s.stats().get("solver.sat_queries"), 0u);
-    EXPECT_EQ(s.stats().get("absint.static_prunes"), 2u);
-}
-
-TEST(AbsintSolver, GetRangeSeedsSearchFromStaticBounds)
-{
-    ExprBuilder b;
-    solver::Solver s(b, absintOptions(/*verify=*/false));
-    ExprRef x = b.var("x", 32);
-    std::vector<ExprRef> cs = {b.eq(x, b.constant(42, 32))};
-    uint64_t lo = 0, hi = 0;
-    auto out = s.getRange(cs, x, &lo, &hi);
-    ASSERT_TRUE(out.isSat());
-    EXPECT_EQ(lo, 42u);
-    EXPECT_EQ(hi, 42u);
-    EXPECT_EQ(s.stats().get("absint.range_seeds"), 1u);
-    // The seed collapses both binary searches to the base query only.
-    EXPECT_EQ(s.stats().get("solver.sat_queries"), 0u);
-}
-
-TEST(AbsintSolver, GetRangeSeededSearchMatchesUnseeded)
-{
-    ExprBuilder b;
-    solver::Solver seeded(b, absintOptions(/*verify=*/false));
-    solver::SolverOptions off;
-    off.useAbsint = false;
-    solver::Solver plain(b, off);
-    ExprRef x = b.var("x", 32);
-    std::vector<ExprRef> cs = {b.ult(x, b.constant(1000, 32)),
-                               b.ult(b.constant(99, 32), x)};
-    uint64_t slo = 0, shi = 0, plo = 0, phi = 0;
-    ASSERT_TRUE(seeded.getRange(cs, x, &slo, &shi).isSat());
-    ASSERT_TRUE(plain.getRange(cs, x, &plo, &phi).isSat());
-    EXPECT_EQ(slo, plo);
-    EXPECT_EQ(shi, phi);
-    EXPECT_EQ(slo, 100u);
-    EXPECT_EQ(shi, 999u);
-}
-
-TEST(AbsintSolver, UnknownRescueWhenOracleExhaustsBudget)
-{
-    // A statically decidable query bundled with a search-heavy
-    // multiplication constraint: the verify oracle gives up inside a
-    // one-conflict budget, the static verdict stands, and the event is
-    // counted as a rescue, not a disagreement.
-    ExprBuilder b;
-    solver::SolverOptions o = absintOptions(/*verify=*/true);
-    o.maxConflicts = 1;
-    o.maxRetries = 0;
-    solver::Solver s(b, o);
-    ExprRef x = b.var("x", 32);
-    ExprRef y = b.var("y", 32);
-    // Witness x=7, y=0x1234567: the set is satisfiable (the invariant
-    // holds), but SAT has to work for the factoring-flavored equality.
-    uint64_t k = static_cast<uint64_t>(7 * 0x1234567u) & 0xFFFFFFFFu;
-    std::vector<ExprRef> cs = {
-        b.ult(x, b.constant(10, 32)),
-        b.eq(b.mul(x, y), b.constant(k, 32)),
-    };
-    auto out = s.mayBeTrue(cs, b.ult(x, b.constant(16, 32)));
-    EXPECT_TRUE(out.isSat());
-    EXPECT_EQ(s.stats().get("absint.disagreements"), 0u);
-    if (s.stats().get("solver.sat_queries") > 0 &&
-        s.stats().get("solver.unknown_results") == 0) {
-        // The oracle solved it inside the budget after all (possible
-        // on a lucky decision order) — then no rescue is recorded.
-        SUCCEED();
-    } else {
-        EXPECT_GE(s.stats().get("absint.unknown_rescues"), 1u);
-    }
-}
-
-TEST(AbsintSolver, QueryNumberingUnchangedByStaticPrunes)
-{
-    // Fault triggers address facade queries by index; static pruning
-    // must not renumber them. Query 2 is forced Unknown whether or not
-    // query 1 was answered statically.
-    ExprBuilder b;
-    for (bool use_absint : {false, true}) {
-        solver::SolverOptions o = absintOptions(/*verify=*/false);
-        o.useAbsint = use_absint;
-        solver::Solver s(b, o);
-        solver::FaultPolicy policy;
-        policy.enabled = true;
-        policy.triggerQueries = {2};
-        s.setFaultPolicy(policy);
-        ExprRef x = b.var("x", 32);
-        std::vector<ExprRef> cs = {b.ult(x, b.constant(10, 32))};
-        EXPECT_TRUE(
-            s.mayBeTrue(cs, b.ult(x, b.constant(100, 32))).isSat());
-        EXPECT_TRUE(
-            s.mayBeTrue(cs, b.ult(x, b.constant(100, 32))).isUnknown());
-    }
-}
-
-/**
- * Random differential: witness-first constraint sets (the satisfiable
- * set invariant holds by construction) decided with absint+verify
- * against a plain solver. Answers must match and the verify oracle
- * must never record a disagreement.
- */
-TEST(AbsintSolver, PropertyDifferentialMatchesPlainSolver)
-{
-    Rng rng(777);
-    for (int iter = 0; iter < 120; ++iter) {
-        ExprBuilder b;
-        solver::Solver with(b, absintOptions(/*verify=*/true));
-        solver::SolverOptions off;
-        off.useAbsint = false;
-        solver::Solver plain(b, off);
-
-        std::vector<ExprRef> vars = {b.var("a", 32), b.var("b", 32),
-                                     b.var("c", 32)};
-        Assignment witness;
-        for (ExprRef var : vars)
-            witness.set(var, rng.next());
-        std::vector<ExprRef> cs;
-        for (unsigned k = 0; k < 1 + rng.below(3); ++k) {
-            ExprRef e = randomExpr(b, rng, vars, 3);
-            uint64_t v = expr::evaluate(e, witness);
-            if (rng.chance(0.5))
-                cs.push_back(b.eq(e, b.constant(v, 32)));
-            else
-                cs.push_back(b.ule(e, b.constant(v | rng.next(), 32)));
-        }
-        ExprRef q = b.extract(randomExpr(b, rng, vars, 3), 0, 1);
-        auto a = with.mayBeTrue(cs, q);
-        auto p = plain.mayBeTrue(cs, q);
-        if (!a.isUnknown() && !p.isUnknown()) {
-            ASSERT_EQ(a.result, p.result)
-                << "query " << q->toString() << " diverged";
-        }
-        ASSERT_EQ(with.stats().get("absint.disagreements"), 0u);
-    }
-}
-
-// --- Engine differentials -------------------------------------------------
-
-vm::MachineConfig
-machineFor(const std::string &source)
-{
-    vm::MachineConfig m;
-    m.ramSize = 64 * 1024;
-    m.program = isa::assemble(source);
-    m.deviceSetup = [](vm::DeviceSet &devices) {
-        devices.add(std::make_unique<vm::ConsoleDevice>());
-        devices.add(std::make_unique<vm::TimerDevice>());
-    };
-    return m;
-}
-
-core::EngineConfig
-engineConfigFor(unsigned workers, bool use_absint, bool verify = true)
-{
-    core::EngineConfig config;
-    config.numWorkers = workers;
-    // Model-cache hit patterns depend on query history, which absint
-    // changes by design; keep it off so fork trees are comparable.
-    config.solverOptions.useModelCache = false;
-    config.solverOptions.useAbsint = use_absint;
-    config.solverOptions.verifyAbsint = use_absint && verify;
-    return config;
-}
-
-struct RunOutcome {
-    std::map<std::string, std::string> paths;
-    std::string forkTree;
-    uint64_t staticPrunes = 0;
-    uint64_t disagreements = 0;
-    uint64_t satQueries = 0;
-};
-
-RunOutcome
-finishRun(core::Engine &engine)
-{
-    obs::ForkTreeRecorder recorder(engine.events());
-    engine.run();
-    RunOutcome out;
-    for (const auto &s : engine.allStates()) {
-        out.paths.emplace(s->pathId(),
-                          strprintf("status:%s exit:%u",
-                                    core::stateStatusName(s->status),
-                                    s->exitCode));
-    }
-    out.forkTree = recorder.toCanonicalJson();
-    out.staticPrunes = engine.solver().stats().get("absint.static_prunes");
-    out.disagreements =
-        engine.solver().stats().get("absint.disagreements");
-    out.satQueries = engine.solver().stats().get("solver.sat_queries");
-    return out;
-}
-
-/**
- * Branches a static analysis can decide: re-tests of already-taken
- * conditions and masked bound checks. Three forking bits give eight
- * paths; every re-test and masked check must not fork.
- */
-const char *
-retestSource()
-{
-    return R"(
-        .entry main
-    main:
-        movi sp, 0x8000
-        s2e_symreg r1
-        movi r5, 0
-        testi r1, 1
-        jeq b1
-        ori r5, 1
-    b1: testi r1, 1      ; re-test: both sides statically decided
-        jeq b2
-        ori r5, 16
-    b2: testi r1, 2
-        jeq b3
-        ori r5, 2
-    b3: testi r1, 2      ; re-test
-        jeq b4
-        ori r5, 32
-    b4: testi r1, 4
-        jeq b5
-        ori r5, 4
-    b5: mov r6, r1
-        andi r6, 255     ; masked bound check: statically true
-        cmpi r6, 256
-        jb b6
-        movi r5, 99      ; unreachable
-    b6: hlt
-    )";
-}
-
-RunOutcome
-runRetest(unsigned workers, bool use_absint)
-{
-    core::Engine engine(machineFor(retestSource()),
-                        engineConfigFor(workers, use_absint));
-    return finishRun(engine);
-}
-
-RunOutcome
-runLicense(unsigned workers, bool use_absint)
-{
-    std::string src = guest::kernelSource() + guest::licenseCheckSource();
-    vm::MachineConfig m;
-    m.ramSize = guest::kRamSize;
-    m.program = isa::assemble(src);
-    m.deviceSetup = [](vm::DeviceSet &devices) {
-        devices.add(std::make_unique<vm::ConsoleDevice>());
-        devices.add(std::make_unique<vm::TimerDevice>());
-    };
-    core::Engine engine(m, engineConfigFor(workers, use_absint));
-    auto &state = engine.initialState();
-    uint32_t key_addr = guest::addConfigString(state, engine.builder(), 0,
-                                               "AAAAAAAA");
-    guest::setConfig(state, engine.builder(), guest::kCfgLicensePtr,
-                     key_addr);
-    engine.makeMemSymbolic(state, key_addr, guest::kLicenseKeyLen,
-                           "license");
-    return finishRun(engine);
-}
-
-constexpr unsigned kWorkerCounts[] = {1, 2, 4};
-
-void
-expectAbsintMatchesPlain(RunOutcome (*run)(unsigned, bool),
-                         bool expect_prunes)
-{
-    RunOutcome plain = run(1, /*use_absint=*/false);
-    EXPECT_EQ(plain.staticPrunes, 0u);
-    for (unsigned w : kWorkerCounts) {
-        RunOutcome on = run(w, /*use_absint=*/true);
-        EXPECT_EQ(plain.paths, on.paths)
-            << "per-path outcomes diverged with " << w << " workers";
-        EXPECT_EQ(plain.forkTree, on.forkTree)
-            << "fork tree diverged with " << w << " workers";
-        EXPECT_EQ(on.disagreements, 0u)
-            << "verify oracle recorded disagreements with " << w
-            << " workers";
-        if (expect_prunes) {
-            EXPECT_GT(on.staticPrunes, 0u)
-                << "no static prunes with " << w << " workers";
-        }
-    }
-}
-
-TEST(AbsintEngineDifferential, RetestWorkload)
-{
-    expectAbsintMatchesPlain(runRetest, /*expect_prunes=*/true);
-}
-
-TEST(AbsintEngineDifferential, LicenseCheck)
-{
-    expectAbsintMatchesPlain(runLicense, /*expect_prunes=*/false);
-}
-
-TEST(AbsintEngineDifferential, RetestPathCountIsExactAndPruned)
-{
-    // Verification off: the oracle re-solves every pruned verdict,
-    // which would mask the SAT-query savings being measured here.
-    core::Engine engine(machineFor(retestSource()),
-                        engineConfigFor(1, /*use_absint=*/true,
-                                        /*verify=*/false));
-    RunOutcome on = finishRun(engine);
-    EXPECT_EQ(on.paths.size(), 8u); // 3 forking bits, no bogus forks
-    EXPECT_GT(on.staticPrunes, 0u);
-    // Pruning pays: the plain run needs strictly more SAT calls.
-    RunOutcome plain = runRetest(1, /*use_absint=*/false);
-    EXPECT_LT(on.satQueries, plain.satQueries);
 }
 
 } // namespace

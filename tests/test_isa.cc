@@ -203,15 +203,19 @@ TEST(Isa, PropertyRandomRoundTrip)
         EXPECT_EQ(out.op, in.op);
         unsigned len = instrLength(in.op);
         if (len >= 2 && in.op != Opcode::Int && in.op != Opcode::S2Kill &&
-            len != 5 && in.op != Opcode::Jcc)
+            len != 5 && in.op != Opcode::Jcc) {
             EXPECT_EQ(out.r1, in.r1) << opcodeName(in.op);
-        if (len == 3 || len == 7)
+        }
+        if (len == 3 || len == 7) {
             EXPECT_EQ(out.r2, in.r2) << opcodeName(in.op);
+        }
         if (len >= 5 || in.op == Opcode::Int || in.op == Opcode::S2Kill ||
-            in.op == Opcode::InI || in.op == Opcode::OutI)
+            in.op == Opcode::InI || in.op == Opcode::OutI) {
             EXPECT_EQ(out.imm, in.imm) << opcodeName(in.op);
-        if (in.op == Opcode::S2SymRange)
+        }
+        if (in.op == Opcode::S2SymRange) {
             EXPECT_EQ(out.imm2, in.imm2);
+        }
     }
 }
 

@@ -18,6 +18,7 @@
 #include <atomic>
 #include <map>
 #include <memory>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -137,6 +138,54 @@ runStress(unsigned workers, std::unique_ptr<Searcher> searcher = nullptr)
     return pathFingerprints(engine);
 }
 
+/**
+ * Branches that never fork: re-tests of already-taken conditions and
+ * a masked bound check. Three forking bits give eight paths; each
+ * re-test and the bound check must be decided, not forked, by the
+ * solver against the path constraints.
+ */
+const char *
+retestSource()
+{
+    return R"(
+        .entry main
+    main:
+        movi sp, 0x8000
+        s2e_symreg r1
+        movi r5, 0
+        testi r1, 1
+        jeq b1
+        ori r5, 1
+    b1: testi r1, 1      ; re-test
+        jeq b2
+        ori r5, 16
+    b2: testi r1, 2
+        jeq b3
+        ori r5, 2
+    b3: testi r1, 2      ; re-test
+        jeq b4
+        ori r5, 32
+    b4: testi r1, 4
+        jeq b5
+        ori r5, 4
+    b5: mov r6, r1
+        andi r6, 255     ; masked bound check: always below 256
+        cmpi r6, 256
+        jb b6
+        movi r5, 99      ; unreachable
+    b6: hlt
+    )";
+}
+
+std::map<std::string, std::string>
+runRetest(unsigned workers)
+{
+    Engine engine(machineFor(retestSource(), 64 * 1024),
+                  differentialConfig(workers));
+    engine.run();
+    return pathFingerprints(engine);
+}
+
 /** DDT+ over the PIO NIC under SC-SE: the only symbolic input is the
  *  hardware and the workload terminates without run budgets. DDT+
  *  installs its own seeded RandomSearcher; `dfs` replaces it with the
@@ -205,6 +254,39 @@ TEST(ParallelDifferential, ForkStormPathSetInvariant)
     EXPECT_EQ(serial.size(), 512u);
     for (unsigned w : kWorkerCounts)
         expectSamePathSets(serial, runStress(w), workersLabel(w));
+}
+
+// The re-test workload is the one built for abstract interpretation:
+// every non-forking branch in it is statically decidable. The query
+// pipeline must decide them all the same, at every worker count.
+
+TEST(AbsintEngineDifferential, RetestWorkload)
+{
+    auto serial = runRetest(1);
+    EXPECT_EQ(serial.size(), 8u); // 3 forking bits, no bogus forks
+    for (unsigned w : kWorkerCounts)
+        expectSamePathSets(serial, runRetest(w), workersLabel(w));
+}
+
+TEST(AbsintEngineDifferential, RetestPathCountIsExactAndPruned)
+{
+    Engine engine(machineFor(retestSource(), 64 * 1024),
+                  differentialConfig(1));
+    RunResult r = engine.run();
+    // Only the three first tests fork: each re-test and the masked
+    // bound check has its infeasible side pruned.
+    EXPECT_EQ(r.forks, 7u);
+    EXPECT_EQ(r.statesCreated, 8u);
+    // r5 = 17*b0 + 34*b1 + 4*b2 on every path: each re-test takes the
+    // side its first test took, and the unreachable block (r5 = 99)
+    // never runs.
+    std::set<uint32_t> r5s;
+    for (const auto &s : engine.allStates()) {
+        EXPECT_EQ(s->status, StateStatus::Halted) << s->pathId();
+        ASSERT_TRUE(s->cpu.regs[5].isConcrete()) << s->pathId();
+        r5s.insert(static_cast<uint32_t>(s->cpu.regs[5].concrete()));
+    }
+    EXPECT_EQ(r5s, (std::set<uint32_t>{0, 4, 17, 21, 34, 38, 51, 55}));
 }
 
 TEST(ParallelDifferential, WorkerTelemetryReported)

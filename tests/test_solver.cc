@@ -952,7 +952,6 @@ TEST(SliceDifferential, MemoizedSliceMatchesReference)
     ExprBuilder b;
     SolverOptions opts;
     opts.useSimplifier = false; // constraints reach slicing as built
-    opts.useAbsint = false;     // every Sat answer comes from a model
     Solver memo(b, opts);
     opts.useIndependence = false; // solves exactly the slice it is given
     Solver ref(b, opts);

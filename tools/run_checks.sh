@@ -9,8 +9,9 @@
 #                                kernel tests, incremental-vs-fresh
 #                                solver contexts), `ctest -L lifecycle`
 #                                (spill/merge-vs-all-resident state
-#                                lifecycle), `ctest -L absint` (static
-#                                value analysis vs the solver oracle) and
+#                                lifecycle), `ctest -L absint` (abstract
+#                                domain and transfer-function soundness
+#                                under the simplifier's known bits) and
 #                                `ctest -L replay` (record/replay witness
 #                                oracle: solver-free replay differentials);
 #                                the WorkQueue idle-wait tests run under
@@ -72,8 +73,8 @@ cmake --build "$build_dir" -j "$jobs" \
 (cd "$build_dir" && ctest -L replay --output-on-failure) || status=1
 
 echo "== run_checks: clang-tidy gate (src/expr, src/solver) =="
-# Zero-warning gate over the expression and solver layers (the static
-# value analysis lives there); skips cleanly when clang-tidy is absent.
+# Zero-warning gate over the expression and solver layers; skips
+# cleanly when clang-tidy is absent.
 "$repo_root/tools/run_tidy.sh" "$build_dir" src/expr src/solver \
     -- --warnings-as-errors='*' || status=1
 
