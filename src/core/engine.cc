@@ -34,7 +34,8 @@ struct Engine::WorkerContext {
     WorkerContext(unsigned worker_id, ExprBuilder &builder,
                   const EngineConfig &config)
         : id(worker_id), solver(builder, config.solverOptions),
-          profiler(config.profileExecution)
+          profiler(config.profileExecution),
+          witnessSolver(builder, config.solverOptions, &profiler)
     {
         solver.setProfiler(&profiler);
     }
@@ -42,6 +43,7 @@ struct Engine::WorkerContext {
     unsigned id;
     solver::Solver solver;
     obs::PhaseProfiler profiler;
+    replay::WitnessSolver witnessSolver;
     /** pc -> canonical block, valid only for blocks whose pages were
      *  never written and only while tbGeneration is current. */
     std::unordered_map<uint32_t, std::shared_ptr<dbt::TranslationBlock>>
@@ -64,6 +66,16 @@ obs::PhaseProfiler &
 Engine::curProfiler()
 {
     return tlsWorker_ ? tlsWorker_->profiler : profiler_;
+}
+
+replay::WitnessSolver &
+Engine::curWitnessSolver()
+{
+    if (tlsWorker_)
+        return tlsWorker_->witnessSolver;
+    if (!witnessSolver_)
+        witnessSolver_.emplace(builder_, config_.solverOptions, &profiler_);
+    return *witnessSolver_;
 }
 
 namespace {
@@ -1711,9 +1723,8 @@ Engine::maybeEmitWitness(ExecutionState &state)
         return;
     }
     replay::ExtractResult r =
-        replay::extractWitness(state, builder_, config_.solverOptions,
-                               &curProfiler(), witnessModels_,
-                               curSolver().varSets());
+        replay::extractWitness(state, builder_, curWitnessSolver(),
+                               witnessModels_, curSolver().varSets());
     Stats::bump(*hot_.witnessComponentSolves, r.componentSolves);
     Stats::bump(*hot_.witnessComponentHits, r.componentHits);
     if (!r.witness) {

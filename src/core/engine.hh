@@ -365,10 +365,11 @@ class Engine
      *  run(); null outside run() and between its rounds. */
     static thread_local WorkerContext *tlsWorker_;
 
-    /** Solver/profiler for the calling thread: the worker's own inside
-     *  a round, the engine-level ones otherwise. */
+    /** Solver/profiler/witness solver for the calling thread: the
+     *  worker's own inside a round, the engine-level ones otherwise. */
     solver::Solver &curSolver();
     obs::PhaseProfiler &curProfiler();
+    replay::WitnessSolver &curWitnessSolver();
 
     /** One worker's exploration loop over its shard of `queue`. */
     void workerLoop(WorkerContext &w, WorkQueue &queue,
@@ -608,6 +609,9 @@ class Engine
     mutable std::mutex witnessMutex_;
     std::vector<std::shared_ptr<const replay::Witness>> witnesses_;
     replay::ComponentModels witnessModels_;
+    /** Witness extraction outside a round (workers have their own);
+     *  built on first use, which most runs never make. */
+    std::optional<replay::WitnessSolver> witnessSolver_;
     std::unique_ptr<replay::ReplayCursor> replayCursor_;
 };
 

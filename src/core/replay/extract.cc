@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <unordered_set>
 
 #include "core/state.hh"
@@ -34,6 +33,16 @@ findRoot(std::vector<size_t> &parent, size_t i)
         i = parent[i];
     }
     return i;
+}
+
+solver::SolverOptions
+witnessOptions(solver::SolverOptions opts)
+{
+    // No model cache (answers would depend on query history), no
+    // incremental context reuse.
+    opts.useModelCache = false;
+    opts.useIncremental = false;
+    return opts;
 }
 
 } // namespace
@@ -85,10 +94,17 @@ ComponentModels::size() const
     return table_.size();
 }
 
+WitnessSolver::WitnessSolver(expr::ExprBuilder &builder,
+                             const solver::SolverOptions &baseOptions,
+                             obs::PhaseProfiler *profiler)
+    : solver(builder, witnessOptions(baseOptions))
+{
+    solver.setProfiler(profiler);
+}
+
 ExtractResult
 extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
-               const solver::SolverOptions &baseOptions,
-               obs::PhaseProfiler *profiler, ComponentModels &models,
+               WitnessSolver &ws, ComponentModels &models,
                expr::VarSets &varSets)
 {
     ExtractResult out;
@@ -140,22 +156,6 @@ extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
         components[slot[root]].push_back(cs[i]);
     }
 
-    // Fresh deterministic solver, built on the first miss: no model
-    // cache (answers would depend on query history), no incremental
-    // context reuse. Its simplifier memo is transparent, so each
-    // component's model depends only on that component.
-    std::optional<solver::Solver> fresh;
-    auto solver = [&]() -> solver::Solver & {
-        if (!fresh) {
-            solver::SolverOptions opts = baseOptions;
-            opts.useModelCache = false;
-            opts.useIncremental = false;
-            fresh.emplace(builder, opts);
-            fresh->setProfiler(profiler);
-        }
-        return *fresh;
-    };
-
     // The path model is the union of its components' models.
     expr::Assignment model;
     for (const ComponentModels::Key &component : components) {
@@ -165,7 +165,7 @@ extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
         }
         out.componentSolves++;
         expr::Assignment part;
-        auto q = solver().getInitialValues(component, &part);
+        auto q = ws.solver.getInitialValues(component, &part);
         if (!q.isSat()) {
             out.error = q.isUnsat()
                             ? "path constraints unsatisfiable"
@@ -192,7 +192,7 @@ extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
             continue;
         }
         uint64_t v = 0;
-        auto q = solver().getValue(pinned, var, &v);
+        auto q = ws.solver.getValue(pinned, var, &v);
         if (!q.isSat()) {
             out.error = "hole repair failed for variable " + name;
             return out;
@@ -204,7 +204,7 @@ extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
     // Semantic validation: the completed assignment must satisfy the
     // entire path — this is what rules out default-zero holes. One
     // memo serves the whole path.
-    expr::Evaluator eval;
+    expr::Evaluator &eval = ws.validator;
     eval.reset(full);
     for (const auto &c : state.constraints) {
         if (!eval.evaluateBool(c)) {

@@ -15,18 +15,13 @@
 #include <vector>
 
 #include "core/replay/witness.hh"
+#include "expr/eval.hh"
 #include "expr/expr.hh"
+#include "solver/solver.hh"
 
 namespace s2e::expr {
-class Assignment;
 class ExprBuilder;
 class VarSets;
-}
-namespace s2e::obs {
-class PhaseProfiler;
-}
-namespace s2e::solver {
-struct SolverOptions;
 }
 
 namespace s2e::core {
@@ -80,6 +75,27 @@ class ComponentModels
     std::unordered_map<Key, Model, KeyHash> table_;
 };
 
+/**
+ * What witness extraction solves and validates with, reused path
+ * after path: a Solver with the model cache and incremental contexts
+ * off, and the Evaluator that checks each completed assignment.
+ *
+ * Only memo state outlives a path: the simplifier memo, the solver's
+ * variable-set memo and the evaluators' tables. Each of them returns
+ * what a fresh one would, and every SAT query still gets a fresh
+ * SatSolver and BitBlaster, so a component's model stays a function
+ * of the component alone. One WitnessSolver belongs to one thread at
+ * a time, like a worker's Solver.
+ */
+struct WitnessSolver {
+    WitnessSolver(expr::ExprBuilder &builder,
+                  const solver::SolverOptions &baseOptions,
+                  obs::PhaseProfiler *profiler);
+
+    solver::Solver solver;
+    expr::Evaluator validator;
+};
+
 /** Outcome of extractWitness: a witness, or an error explaining why
  *  extraction failed (never a partial witness). */
 struct ExtractResult {
@@ -96,25 +112,22 @@ struct ExtractResult {
  * The path constraints are split into independent components (no
  * variable shared across components); the path model is the union of
  * the components' models, each taken from `models` or, on a miss,
- * from a *fresh* solver (model cache and incremental contexts
- * disabled, so the model depends only on the component's constraints,
- * never on query history or worker schedule) and then cached. The
- * model is completed over every variable the path created: variables
- * it misses — unconstrained inputs, or variables simplified away
- * during bit-blasting — are pinned by explicit value queries under
- * the model-augmented constraints, never defaulted to zero. The
- * completed assignment is validated by concretely evaluating every
- * path constraint; any violation fails the extraction.
+ * from `ws.solver` (model cache and incremental contexts disabled,
+ * so the model depends only on the component's constraints, never on
+ * query history or worker schedule) and then cached. The model is
+ * completed over every variable the path created: variables it
+ * misses — unconstrained inputs, or variables simplified away during
+ * bit-blasting — are pinned by explicit value queries under the
+ * model-augmented constraints, never defaulted to zero. The completed
+ * assignment is validated by concretely evaluating every path
+ * constraint with `ws.validator`; any violation fails the extraction.
  *
- * The fresh solver's queries are charged to the Solver phase of
- * `profiler` (the calling worker's; null charges nothing). The
+ * The queries are charged to the profiler `ws.solver` was given. The
  * partition reads each constraint's variables from `varSets`, the
  * calling worker's solver memo (Solver::varSets()).
  */
 ExtractResult extractWitness(const ExecutionState &state,
-                             expr::ExprBuilder &builder,
-                             const solver::SolverOptions &baseOptions,
-                             obs::PhaseProfiler *profiler,
+                             expr::ExprBuilder &builder, WitnessSolver &ws,
                              ComponentModels &models,
                              expr::VarSets &varSets);
 

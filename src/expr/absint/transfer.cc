@@ -425,7 +425,10 @@ evalExpr(ExprRef e, const FactMap *refined, FactMap &memo)
     static const AbsValue kNone; // width 0 placeholder for absent kids
     AbsValue kids[3] = {kNone, kNone, kNone};
     bool any_bottom = false;
-    for (unsigned i = 0; i < e->arity(); ++i) {
+    // std::min bounds the loop by the array for the compiler too (no
+    // node has more than three kids).
+    unsigned arity = std::min(e->arity(), 3u);
+    for (unsigned i = 0; i < arity; ++i) {
         kids[i] = evalExpr(e->kid(i), refined, memo);
         any_bottom = any_bottom || kids[i].isBottom();
     }

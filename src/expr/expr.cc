@@ -88,8 +88,10 @@ Expr::toString() const
                          kids_[0]->toString().c_str());
       default: {
         std::string s = strprintf("(%s w%u", kindName(kind_), width());
-        for (unsigned i = 0; i < arity(); ++i)
-            s += " " + kids_[i]->toString();
+        for (unsigned i = 0; i < arity(); ++i) {
+            s += ' ';
+            s += kids_[i]->toString();
+        }
         return s + ")";
       }
     }

@@ -40,6 +40,14 @@ class NodeTable
         Slot &s = slots_[slotFor(e)];
         return s.stamp == stamp_ ? &s.value : nullptr;
     }
+    const V *
+    find(ExprRef e) const
+    {
+        if (slots_.empty())
+            return nullptr;
+        const Slot &s = slots_[slotFor(e)];
+        return s.stamp == stamp_ ? &s.value : nullptr;
+    }
 
     /** Store `value` for `e` unless `e` has a value already. Returns
      *  the stored value and whether it was inserted, as

@@ -1,6 +1,6 @@
 #include "expr/simplify.hh"
 
-#include <unordered_map>
+#include <algorithm>
 
 namespace s2e::expr {
 
@@ -37,10 +37,8 @@ Simplifier::simplifyDemanded(ExprRef e, uint64_t demanded)
     if (demanded == 0)
         return builder_.constant(0, e->width());
 
-    Key key{e, demanded};
-    auto it = memo_.find(key);
-    if (it != memo_.end())
-        return it->second;
+    if (ExprRef hit = memo_.find(e, demanded))
+        return hit;
 
     ExprBuilder &b = builder_;
     unsigned w = e->width();
@@ -220,8 +218,50 @@ Simplifier::simplifyDemanded(ExprRef e, uint64_t demanded)
         }
     }
 
-    memo_[key] = out;
+    memo_.insert(e, demanded, out);
     return out;
+}
+
+size_t
+Simplifier::Memo::slotFor(ExprRef e, uint64_t demanded) const
+{
+    size_t mask = slots_.size() - 1;
+    uint64_t h = (e->hash() ^ demanded * 0x9e3779b97f4a7c15ULL) *
+                 0xbf58476d1ce4e5b9ULL;
+    for (auto i = static_cast<size_t>(h >> 32);; ++i) {
+        const Slot &s = slots_[i & mask];
+        if (s.e == nullptr || (s.e == e && s.demanded == demanded))
+            return i & mask;
+    }
+}
+
+ExprRef
+Simplifier::Memo::find(ExprRef e, uint64_t demanded) const
+{
+    if (slots_.empty())
+        return nullptr;
+    return slots_[slotFor(e, demanded)].out;
+}
+
+void
+Simplifier::Memo::insert(ExprRef e, uint64_t demanded, ExprRef out)
+{
+    if (4 * (used_ + 1) > 3 * slots_.size())
+        grow();
+    Slot &s = slots_[slotFor(e, demanded)];
+    if (s.e == nullptr)
+        ++used_;
+    s = Slot{e, demanded, out};
+}
+
+void
+Simplifier::Memo::grow()
+{
+    std::vector<Slot> old(std::max<size_t>(64, 2 * slots_.size()));
+    old.swap(slots_);
+    for (const Slot &s : old)
+        if (s.e != nullptr)
+            slots_[slotFor(s.e, s.demanded)] = s;
 }
 
 } // namespace s2e::expr

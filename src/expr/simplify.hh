@@ -17,6 +17,8 @@
 #ifndef S2E_EXPR_SIMPLIFY_HH
 #define S2E_EXPR_SIMPLIFY_HH
 
+#include <vector>
+
 #include "expr/absint/transfer.hh"
 #include "expr/builder.hh"
 #include "expr/expr.hh"
@@ -74,24 +76,36 @@ class Simplifier
     ExprBuilder &builder_;
     SimplifyStats stats_;
     absint::FactMap pureAbs_; ///< context-free abstract-value cache
-    // Memo keyed by (expr, demanded mask).
-    struct Key {
-        ExprRef e;
-        uint64_t demanded;
-        bool operator==(const Key &o) const
-        {
-            return e == o.e && demanded == o.demanded;
-        }
+
+    /**
+     * Memo keyed by (expr, demanded mask): linear probing over a
+     * power-of-two array of flat slots, doubled above 3/4 load. A
+     * solver looks every constraint up again on every query, so a hit
+     * must cost one probe, not a bucket chain.
+     */
+    class Memo
+    {
+      public:
+        /** The result stored for (e, demanded), or nullptr. */
+        ExprRef find(ExprRef e, uint64_t demanded) const;
+        void insert(ExprRef e, uint64_t demanded, ExprRef out);
+
+      private:
+        struct Slot {
+            ExprRef e = nullptr; ///< nullptr marks a free slot
+            uint64_t demanded = 0;
+            ExprRef out = nullptr;
+        };
+
+        /** The slot holding (e, demanded), or the free slot where its
+         *  probe ends. */
+        size_t slotFor(ExprRef e, uint64_t demanded) const;
+        void grow();
+
+        std::vector<Slot> slots_;
+        size_t used_ = 0;
     };
-    struct KeyHash {
-        size_t
-        operator()(const Key &k) const
-        {
-            return std::hash<const void *>()(k.e) ^
-                   std::hash<uint64_t>()(k.demanded * 0x9e3779b97f4a7c15ULL);
-        }
-    };
-    std::unordered_map<Key, ExprRef, KeyHash> memo_;
+    Memo memo_;
 };
 
 } // namespace s2e::expr

@@ -1,6 +1,8 @@
 #include "solver/bitblast.hh"
 
-#include "support/bitops.hh"
+#include <bit>
+#include <cstring>
+
 #include "support/logging.hh"
 
 namespace s2e::solver {
@@ -9,55 +11,116 @@ using expr::Kind;
 using sat::litNot;
 using sat::mkLit;
 
-uint64_t
-BitBlaster::GateTable::hash(const GateKey &k)
+namespace {
+
+/** Slots of a new gate table. It grows fourfold, so a witness
+ *  component's few dozen gates fit in the first 4 KiB and a DDT+
+ *  path's ~1,745 gates after two growths, moving each gate at most
+ *  twice. */
+constexpr size_t kInitialGateSlots = 256;
+
+/** Length of each shared constant span: one more than the widest
+ *  expression, since division widens the divisor by a bit. */
+constexpr uint32_t kConstSpan = 65;
+
+} // namespace
+
+BitBlaster::GateTable::GateTable()
 {
-    // Literals and ops are non-negative. The splitmix64 finalizer
-    // spreads the small, dense literal numbers over the low bits the
-    // table indexes by.
-    auto u = [](int32_t v) { return static_cast<uint64_t>(v); };
-    uint64_t h = (u(k.a) << 32 | u(k.b)) ^
-                 (u(k.c) << 2 | u(k.op)) * 0x9e3779b97f4a7c15ULL;
-    h = (h ^ (h >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    h = (h ^ (h >> 27)) * 0x94d049bb133111ebULL;
-    return h ^ (h >> 31);
+    allocate(kInitialGateSlots);
+}
+
+void
+BitBlaster::GateTable::allocate(size_t slots)
+{
+    slots_ = std::make_unique_for_overwrite<Slot[]>(slots);
+    std::memset(slots_.get(), 0xff, slots * sizeof(Slot));
+    size_ = slots;
+    shift_ = 64 - static_cast<unsigned>(std::countr_zero(slots));
+}
+
+size_t
+BitBlaster::GateTable::slotFor(Lit a, Lit b, uint32_t opc) const
+{
+    // Multiplicative hashing: the top bits of the product depend on
+    // every input bit, and the small, dense literal numbers need that.
+    auto u = [](int32_t v) { return static_cast<uint64_t>(
+                                 static_cast<uint32_t>(v)); };
+    uint64_t h = (u(a) << 32 | u(b)) * 0x9e3779b97f4a7c15ULL +
+                 opc * 0xc2b2ae3d27d4eb4fULL;
+    return static_cast<size_t>(h >> shift_);
 }
 
 Lit &
-BitBlaster::GateTable::findOrClaim(const GateKey &key)
+BitBlaster::GateTable::findOrClaim(Op op, Lit a, Lit b, Lit c)
 {
-    if ((used_ + 1) * 4 > slots_.size() * 3)
+    S2E_ASSERT(c >= 0 && c < (1 << 29), "gate input %d out of range", c);
+    uint32_t opc = static_cast<uint32_t>(c) << 2 | op;
+    if ((used_ + 1) * 4 > size_ * 3)
         grow();
-    size_t mask = slots_.size() - 1;
-    size_t i = hash(key) & mask;
-    for (; slots_[i].key.op != kEmptyOp; i = (i + 1) & mask)
-        if (slots_[i].key == key)
-            return slots_[i].out;
-    used_++;
-    slots_[i].key = key;
-    return slots_[i].out;
+    size_t mask = size_ - 1;
+    for (size_t i = slotFor(a, b, opc);; i = (i + 1) & mask) {
+        Slot &s = slots_[i];
+        if (s.out < 0) {
+            used_++;
+            s = Slot{a, b, opc, -1};
+            return s.out;
+        }
+        if (s.a == a && s.b == b && s.opc == opc)
+            return s.out;
+    }
 }
 
 void
 BitBlaster::GateTable::grow()
 {
-    std::vector<Slot> grown(slots_.empty() ? 256 : slots_.size() * 2);
-    size_t mask = grown.size() - 1;
-    for (const Slot &s : slots_) {
-        if (s.key.op == kEmptyOp)
+    std::unique_ptr<Slot[]> old = std::move(slots_);
+    size_t old_size = size_;
+    allocate(4 * old_size);
+    size_t mask = size_ - 1;
+    for (size_t k = 0; k < old_size; ++k) {
+        const Slot &s = old[k];
+        if (s.out < 0)
             continue;
-        size_t j = hash(s.key) & mask;
-        while (grown[j].key.op != kEmptyOp)
+        size_t j = slotFor(s.a, s.b, s.opc);
+        while (slots_[j].out >= 0)
             j = (j + 1) & mask;
-        grown[j] = s;
+        slots_[j] = s;
     }
-    slots_.swap(grown);
 }
 
 BitBlaster::BitBlaster(SatSolver &sat) : sat_(sat)
 {
     litTrue_ = mkLit(sat_.newVar());
     sat_.addClause(litTrue_);
+    arena_.reserve(1024);
+    arena_.assign(kConstSpan, constLit(false));
+    arena_.resize(2 * kConstSpan, constLit(true));
+}
+
+BitBlaster::Bits
+BitBlaster::alloc(uint32_t width)
+{
+    auto offset = static_cast<uint32_t>(arena_.size());
+    arena_.resize(offset + width);
+    return {offset, width};
+}
+
+BitBlaster::Bits
+BitBlaster::constBits(bool b, uint32_t width) const
+{
+    S2E_ASSERT(width <= kConstSpan, "constant span of width %u", width);
+    return {b ? kConstSpan : 0, width};
+}
+
+uint64_t
+BitBlaster::valueOf(Bits bits) const
+{
+    uint64_t v = 0;
+    for (uint32_t i = 0; i < bits.width; ++i)
+        if (sat_.modelTrue(bit(bits, i)))
+            v |= 1ULL << i;
+    return v;
 }
 
 Lit
@@ -81,7 +144,7 @@ BitBlaster::mkAnd(Lit a, Lit b)
         std::swap(a, b);
     // Building the gate below never touches gateCache_, so `out`
     // stays a valid reference into it.
-    Lit &out = gateCache_.findOrClaim({0, a, b, 0});
+    Lit &out = gateCache_.findOrClaim(GateTable::kAnd, a, b, 0);
     if (out >= 0)
         return out;
     out = freshLit();
@@ -121,7 +184,7 @@ BitBlaster::mkXor(Lit a, Lit b)
     }
     if (b < a)
         std::swap(a, b);
-    Lit &out = gateCache_.findOrClaim({1, a, b, 0});
+    Lit &out = gateCache_.findOrClaim(GateTable::kXor, a, b, 0);
     if (out < 0) {
         out = freshLit();
         gates_++;
@@ -145,7 +208,7 @@ BitBlaster::mkMux(Lit c, Lit t, Lit f)
     // c ? !f : f  ==  c XOR f
     if (t == litNot(f))
         return mkXor(c, f);
-    Lit &out = gateCache_.findOrClaim({2, c, t, f});
+    Lit &out = gateCache_.findOrClaim(GateTable::kMux, c, t, f);
     if (out >= 0)
         return out;
     out = freshLit();
@@ -160,48 +223,63 @@ BitBlaster::mkMux(Lit c, Lit t, Lit f)
 Lit
 BitBlaster::mkMaj(Lit a, Lit b, Lit c)
 {
-    // majority(a,b,c) = ab | ac | bc
-    return mkOr(mkAnd(a, b), mkOr(mkAnd(a, c), mkAnd(b, c)));
+    // majority(a,b,c) = ab | ac | bc, built as (ab) | ((ac) | (bc)).
+    // The gate order is explicit (see blastNode): bc, ac, their OR,
+    // ab, the outer OR.
+    Lit bc = mkAnd(b, c);
+    Lit ac = mkAnd(a, c);
+    Lit ac_or_bc = mkOr(ac, bc);
+    Lit ab = mkAnd(a, b);
+    return mkOr(ab, ac_or_bc);
 }
 
-std::vector<Lit>
-BitBlaster::addBits(const std::vector<Lit> &a, const std::vector<Lit> &b,
-                    Lit carry_in)
+BitBlaster::Bits
+BitBlaster::addBits(Bits a, Bits b, Lit carry_in)
 {
-    S2E_ASSERT(a.size() == b.size(), "adder width mismatch");
-    std::vector<Lit> out(a.size());
+    S2E_ASSERT(a.width == b.width, "adder width mismatch");
+    Bits out = alloc(a.width);
     Lit carry = carry_in;
-    for (size_t i = 0; i < a.size(); ++i) {
-        Lit axb = mkXor(a[i], b[i]);
-        out[i] = mkXor(axb, carry);
-        if (i + 1 < a.size())
-            carry = mkMaj(a[i], b[i], carry);
+    for (uint32_t i = 0; i < a.width; ++i) {
+        Lit ai = bit(a, i), bi = bit(b, i);
+        Lit axb = mkXor(ai, bi);
+        bitRef(out, i) = mkXor(axb, carry);
+        if (i + 1 < a.width)
+            carry = mkMaj(ai, bi, carry);
     }
     return out;
 }
 
-std::vector<Lit>
-BitBlaster::negBits(const std::vector<Lit> &a)
+BitBlaster::Bits
+BitBlaster::notBits(Bits a)
 {
-    std::vector<Lit> zeros(a.size(), constLit(false));
-    std::vector<Lit> na(a.size());
-    for (size_t i = 0; i < a.size(); ++i)
-        na[i] = litNot(a[i]);
-    return addBits(na, zeros, constLit(true));
+    Bits out = alloc(a.width);
+    for (uint32_t i = 0; i < a.width; ++i)
+        bitRef(out, i) = litNot(bit(a, i));
+    return out;
 }
 
-std::vector<Lit>
-BitBlaster::mulBits(const std::vector<Lit> &a, const std::vector<Lit> &b)
+BitBlaster::Bits
+BitBlaster::negBits(Bits a)
 {
-    size_t w = a.size();
-    std::vector<Lit> acc(w, constLit(false));
-    for (size_t i = 0; i < w; ++i) {
+    Bits na = notBits(a);
+    return addBits(na, constBits(false, a.width), constLit(true));
+}
+
+BitBlaster::Bits
+BitBlaster::mulBits(Bits a, Bits b)
+{
+    uint32_t w = a.width;
+    Bits acc = constBits(false, w);
+    Bits addend = alloc(w); // reused: addBits reads it before returning
+    for (uint32_t i = 0; i < w; ++i) {
         // addend = (a << i) & b[i]
-        std::vector<Lit> addend(w, constLit(false));
         bool all_false = true;
-        for (size_t j = i; j < w; ++j) {
-            addend[j] = mkAnd(a[j - i], b[i]);
-            if (!(isConstLit(addend[j]) && !constLitValue(addend[j])))
+        for (uint32_t j = 0; j < i; ++j)
+            bitRef(addend, j) = constLit(false);
+        for (uint32_t j = i; j < w; ++j) {
+            Lit l = mkAnd(bit(a, j - i), bit(b, i));
+            bitRef(addend, j) = l;
+            if (!(isConstLit(l) && !constLitValue(l)))
                 all_false = false;
         }
         if (!all_false)
@@ -211,307 +289,329 @@ BitBlaster::mulBits(const std::vector<Lit> &a, const std::vector<Lit> &b)
 }
 
 void
-BitBlaster::divremBits(const std::vector<Lit> &a, const std::vector<Lit> &b,
-                       std::vector<Lit> &quot, std::vector<Lit> &rem)
+BitBlaster::divremBits(Bits a, Bits b, Bits &quot, Bits &rem)
 {
-    // Restoring long division with a (w+1)-bit partial remainder.
-    size_t w = a.size();
-    std::vector<Lit> bx(b);
-    bx.push_back(constLit(false)); // zext divisor to w+1
-    std::vector<Lit> r(w + 1, constLit(false));
-    quot.assign(w, constLit(false));
-    for (size_t step = 0; step < w; ++step) {
-        size_t bit = w - 1 - step;
-        // r = (r << 1) | a[bit]
-        for (size_t i = w; i > 0; --i)
-            r[i] = r[i - 1];
-        r[0] = a[bit];
+    // Restoring long division with a (w+1)-bit partial remainder. `r`
+    // is always a span this call allocated, so it is shifted in place.
+    uint32_t w = a.width;
+    Bits bx = alloc(w + 1); // divisor zero-extended to w+1 bits
+    for (uint32_t i = 0; i < w; ++i)
+        bitRef(bx, i) = bit(b, i);
+    bitRef(bx, w) = constLit(false);
+    Bits r = alloc(w + 1);
+    for (uint32_t i = 0; i <= w; ++i)
+        bitRef(r, i) = constLit(false);
+    quot = alloc(w);
+    Bits neg_bx{};
+    for (uint32_t step = 0; step < w; ++step) {
+        uint32_t at = w - 1 - step;
+        // r = (r << 1) | a[at]
+        for (uint32_t i = w; i > 0; --i)
+            bitRef(r, i) = bit(r, i - 1);
+        bitRef(r, 0) = bit(a, at);
         // ge = (r >= bx)  <=>  !(r < bx)
         Lit ge = litNot(ultBits(r, bx));
+        // -bx is the same circuit every step: later steps would only
+        // hit the gate table, so it is built once, where step 0 built
+        // it.
+        if (step == 0)
+            neg_bx = negBits(bx);
         // r = ge ? r - bx : r
-        std::vector<Lit> diff = addBits(r, negBits(bx), constLit(false));
+        Bits diff = addBits(r, neg_bx, constLit(false));
         r = muxBits(ge, diff, r);
-        quot[bit] = ge;
+        bitRef(quot, at) = ge;
     }
-    rem.assign(r.begin(), r.begin() + w);
+    rem = {r.offset, w};
 }
 
-std::vector<Lit>
-BitBlaster::muxBits(Lit c, const std::vector<Lit> &t,
-                    const std::vector<Lit> &f)
+BitBlaster::Bits
+BitBlaster::muxBits(Lit c, Bits t, Bits f)
 {
-    S2E_ASSERT(t.size() == f.size(), "mux width mismatch");
-    std::vector<Lit> out(t.size());
-    for (size_t i = 0; i < t.size(); ++i)
-        out[i] = mkMux(c, t[i], f[i]);
+    S2E_ASSERT(t.width == f.width, "mux width mismatch");
+    Bits out = alloc(t.width);
+    for (uint32_t i = 0; i < t.width; ++i)
+        bitRef(out, i) = mkMux(c, bit(t, i), bit(f, i));
     return out;
 }
 
-std::vector<Lit>
-BitBlaster::shiftBits(const std::vector<Lit> &a,
-                      const std::vector<Lit> &amount, expr::Kind kind)
+BitBlaster::Bits
+BitBlaster::shiftBits(Bits a, Bits amount, expr::Kind kind)
 {
-    size_t w = a.size();
-    Lit fill = constLit(false);
-    if (kind == Kind::AShr)
-        fill = a[w - 1];
+    uint32_t w = a.width;
+    Lit fill = kind == Kind::AShr ? bit(a, w - 1) : constLit(false);
 
     // Barrel shifter over the low log2 stages; any higher amount bit
     // set means full shift-out.
-    std::vector<Lit> cur(a);
-    size_t stages = 0;
+    Bits cur = a;
+    uint32_t stages = 0;
     while ((1ULL << stages) < w)
         stages++;
-    for (size_t s = 0; s < stages; ++s) {
-        size_t k = 1ULL << s;
-        std::vector<Lit> shifted(w, fill);
-        for (size_t i = 0; i < w; ++i) {
+    for (uint32_t s = 0; s < stages; ++s) {
+        uint32_t k = 1u << s;
+        Bits shifted = alloc(w);
+        for (uint32_t i = 0; i < w; ++i) {
+            Lit l = fill;
             if (kind == Kind::Shl) {
                 if (i >= k)
-                    shifted[i] = cur[i - k];
-            } else {
-                if (i + k < w)
-                    shifted[i] = cur[i + k];
+                    l = bit(cur, i - k);
+            } else if (i + k < w) {
+                l = bit(cur, i + k);
             }
+            bitRef(shifted, i) = l;
         }
-        cur = muxBits(amount[s], shifted, cur);
+        cur = muxBits(bit(amount, s), shifted, cur);
     }
     // Overflow: any amount bit >= stages set, or amount within the low
     // stage bits encoding a value >= w (only when w is not a power of
     // two; with power-of-two widths the stage bits cover exactly < w).
     Lit overflow = constLit(false);
-    for (size_t i = stages; i < amount.size(); ++i)
-        overflow = mkOr(overflow, amount[i]);
+    for (uint32_t i = stages; i < amount.width; ++i)
+        overflow = mkOr(overflow, bit(amount, i));
     if ((1ULL << stages) != w) {
         // Compare low stage bits against w.
-        std::vector<Lit> low(amount.begin(), amount.begin() + stages);
-        std::vector<Lit> wconst(stages);
-        for (size_t i = 0; i < stages; ++i)
-            wconst[i] = constLit((w >> i) & 1);
+        Bits wconst = alloc(stages);
+        for (uint32_t i = 0; i < stages; ++i)
+            bitRef(wconst, i) = constLit((w >> i) & 1);
+        Bits low{amount.offset, stages};
         overflow = mkOr(overflow, litNot(ultBits(low, wconst)));
     }
-    std::vector<Lit> fullshift(w, fill);
+    Bits fullshift = constBits(false, w);
+    if (kind == Kind::AShr) {
+        fullshift = alloc(w);
+        for (uint32_t i = 0; i < w; ++i)
+            bitRef(fullshift, i) = fill;
+    }
     return muxBits(overflow, fullshift, cur);
 }
 
 Lit
-BitBlaster::ultBits(const std::vector<Lit> &a, const std::vector<Lit> &b)
+BitBlaster::ultBits(Bits a, Bits b)
 {
-    S2E_ASSERT(a.size() == b.size(), "ult width mismatch");
+    S2E_ASSERT(a.width == b.width, "ult width mismatch");
     Lit lt = constLit(false);
-    for (size_t i = 0; i < a.size(); ++i) {
+    for (uint32_t i = 0; i < a.width; ++i) {
         // Higher bits take priority; process LSB -> MSB so the last
         // (most significant) difference wins.
-        Lit diff = mkXor(a[i], b[i]);
-        Lit bi_gt = mkAnd(litNot(a[i]), b[i]);
+        Lit ai = bit(a, i), bi = bit(b, i);
+        Lit diff = mkXor(ai, bi);
+        Lit bi_gt = mkAnd(litNot(ai), bi);
         lt = mkMux(diff, bi_gt, lt);
     }
     return lt;
 }
 
 Lit
-BitBlaster::eqBits(const std::vector<Lit> &a, const std::vector<Lit> &b)
+BitBlaster::eqBits(Bits a, Bits b)
 {
-    S2E_ASSERT(a.size() == b.size(), "eq width mismatch");
+    S2E_ASSERT(a.width == b.width, "eq width mismatch");
     Lit out = constLit(true);
-    for (size_t i = 0; i < a.size(); ++i)
-        out = mkAnd(out, litNot(mkXor(a[i], b[i])));
+    for (uint32_t i = 0; i < a.width; ++i)
+        out = mkAnd(out, litNot(mkXor(bit(a, i), bit(b, i))));
     return out;
 }
 
-const std::vector<Lit> &
-BitBlaster::blast(ExprRef e)
-{
-    return blastRec(e);
-}
-
-const std::vector<Lit> &
+BitBlaster::Bits
 BitBlaster::blastRec(ExprRef e)
 {
-    auto it = cache_.find(e);
-    if (it != cache_.end())
-        return it->second;
+    if (const Bits *cached = spans_.find(e))
+        return *cached;
+    Bits out = blastNode(e);
+    S2E_ASSERT(out.width == e->width(), "blast width mismatch for %s",
+               expr::kindName(e->kind()));
+    spans_.insert(e, out);
+    return out;
+}
 
-    unsigned w = e->width();
-    std::vector<Lit> out;
+BitBlaster::Bits
+BitBlaster::blastNode(ExprRef e)
+{
+    // Kid order is part of the CNF: each kid's first blast numbers its
+    // variables and gates, so the order below fixes the literal
+    // numbering and the clause order, and with them the SAT search.
+    // It is written out statement by statement, never left to the
+    // order in which a compiler evaluates call arguments. Where kid 1
+    // (or kid 2 of an Ite) is blasted before kid 0, that is the order
+    // GCC's right-to-left argument evaluation gave the nested calls
+    // this code replaced; the pinned digests (Sat.SearchIsPinned, the
+    // DDT+ witness digests) were recorded with it.
+    uint32_t w = e->width();
+    auto kid = [&](unsigned i) { return blastRec(e->kid(i)); };
+    auto lit = [&](Lit l) {
+        Bits out = alloc(1);
+        bitRef(out, 0) = l;
+        return out;
+    };
 
     switch (e->kind()) {
       case Kind::Constant: {
-        out.resize(w);
-        for (unsigned i = 0; i < w; ++i)
-            out[i] = constLit((e->value() >> i) & 1);
-        break;
+        Bits out = alloc(w);
+        for (uint32_t i = 0; i < w; ++i)
+            bitRef(out, i) = constLit((e->value() >> i) & 1);
+        return out;
       }
       case Kind::Variable: {
-        auto vit = varBits_.find(e->varId());
-        if (vit == varBits_.end()) {
-            std::vector<Lit> bits(w);
-            for (unsigned i = 0; i < w; ++i)
-                bits[i] = freshLit();
-            vit = varBits_.emplace(e->varId(), std::move(bits)).first;
-        }
-        out = vit->second;
-        break;
+        Bits out = alloc(w);
+        for (uint32_t i = 0; i < w; ++i)
+            bitRef(out, i) = freshLit();
+        vars_.emplace_back(e->varId(), out);
+        return out;
       }
       case Kind::Add: {
-        out = addBits(blastRec(e->kid(0)), blastRec(e->kid(1)),
-                      constLit(false));
-        break;
+        Bits b = kid(1);
+        Bits a = kid(0);
+        return addBits(a, b, constLit(false));
       }
       case Kind::Sub: {
-        std::vector<Lit> nb;
-        const auto &b = blastRec(e->kid(1));
-        nb.resize(b.size());
-        for (size_t i = 0; i < b.size(); ++i)
-            nb[i] = litNot(b[i]);
-        out = addBits(blastRec(e->kid(0)), nb, constLit(true));
-        break;
+        Bits nb = notBits(kid(1));
+        Bits a = kid(0);
+        return addBits(a, nb, constLit(true));
       }
-      case Kind::Mul:
-        out = mulBits(blastRec(e->kid(0)), blastRec(e->kid(1)));
-        break;
+      case Kind::Mul: {
+        Bits b = kid(1);
+        Bits a = kid(0);
+        return mulBits(a, b);
+      }
       case Kind::UDiv:
       case Kind::URem: {
-        std::vector<Lit> q, r;
-        divremBits(blastRec(e->kid(0)), blastRec(e->kid(1)), q, r);
-        out = (e->kind() == Kind::UDiv) ? q : r;
-        break;
+        Bits b = kid(1);
+        Bits a = kid(0);
+        Bits q, r;
+        divremBits(a, b, q, r);
+        return e->kind() == Kind::UDiv ? q : r;
       }
       case Kind::SDiv:
       case Kind::SRem: {
-        const auto &a = blastRec(e->kid(0));
-        const auto &b = blastRec(e->kid(1));
-        Lit sa = a[w - 1], sb = b[w - 1];
-        std::vector<Lit> ua = muxBits(sa, negBits(a), a);
-        std::vector<Lit> ub = muxBits(sb, negBits(b), b);
-        std::vector<Lit> q, r;
+        Bits a = kid(0);
+        Bits b = kid(1);
+        Lit sa = bit(a, w - 1), sb = bit(b, w - 1);
+        Bits ua = muxBits(sa, negBits(a), a);
+        Bits ub = muxBits(sb, negBits(b), b);
+        Bits q, r;
         divremBits(ua, ub, q, r);
-        if (e->kind() == Kind::SDiv) {
-            Lit flip = mkXor(sa, sb);
-            out = muxBits(flip, negBits(q), q);
-            // Divide-by-zero is a total function yielding all-ones,
-            // matching ExprBuilder::foldBinary semantics.
-            std::vector<Lit> zero(w, constLit(false));
-            Lit b_zero = eqBits(b, zero);
-            std::vector<Lit> ones(w, constLit(true));
-            out = muxBits(b_zero, ones, out);
-        } else {
-            out = muxBits(sa, negBits(r), r);
-        }
-        break;
+        if (e->kind() == Kind::SRem)
+            return muxBits(sa, negBits(r), r);
+        Lit flip = mkXor(sa, sb);
+        Bits out = muxBits(flip, negBits(q), q);
+        // Divide-by-zero is a total function yielding all-ones,
+        // matching ExprBuilder::foldBinary semantics.
+        Lit b_zero = eqBits(b, constBits(false, w));
+        return muxBits(b_zero, constBits(true, w), out);
       }
       case Kind::And:
       case Kind::Or:
       case Kind::Xor: {
-        const auto &a = blastRec(e->kid(0));
-        const auto &b = blastRec(e->kid(1));
-        out.resize(w);
-        for (unsigned i = 0; i < w; ++i) {
+        Bits a = kid(0);
+        Bits b = kid(1);
+        Bits out = alloc(w);
+        for (uint32_t i = 0; i < w; ++i) {
+            Lit ai = bit(a, i), bi = bit(b, i);
             switch (e->kind()) {
-              case Kind::And: out[i] = mkAnd(a[i], b[i]); break;
-              case Kind::Or: out[i] = mkOr(a[i], b[i]); break;
-              default: out[i] = mkXor(a[i], b[i]); break;
+              case Kind::And: bitRef(out, i) = mkAnd(ai, bi); break;
+              case Kind::Or: bitRef(out, i) = mkOr(ai, bi); break;
+              default: bitRef(out, i) = mkXor(ai, bi); break;
             }
         }
-        break;
+        return out;
       }
-      case Kind::Not: {
-        const auto &a = blastRec(e->kid(0));
-        out.resize(w);
-        for (unsigned i = 0; i < w; ++i)
-            out[i] = litNot(a[i]);
-        break;
-      }
+      case Kind::Not:
+        return notBits(kid(0));
       case Kind::Neg:
-        out = negBits(blastRec(e->kid(0)));
-        break;
+        return negBits(kid(0));
       case Kind::Shl:
       case Kind::LShr:
       case Kind::AShr: {
         ExprRef amt = e->kid(1);
-        const auto a = blastRec(e->kid(0));
-        if (amt->isConstant()) {
-            uint64_t s = amt->value();
-            out.assign(w, e->kind() == Kind::AShr ? a[w - 1]
-                                                  : constLit(false));
+        Bits a = kid(0);
+        if (!amt->isConstant())
+            return shiftBits(a, blastRec(amt), e->kind());
+        uint64_t s = amt->value();
+        Lit fill = e->kind() == Kind::AShr ? bit(a, w - 1) : constLit(false);
+        Bits out = alloc(w);
+        for (uint32_t i = 0; i < w; ++i) {
+            Lit l = fill;
             if (s < w) {
-                for (unsigned i = 0; i < w; ++i) {
-                    if (e->kind() == Kind::Shl) {
-                        if (i >= s)
-                            out[i] = a[i - s];
-                    } else {
-                        if (i + s < w)
-                            out[i] = a[i + s];
-                    }
+                if (e->kind() == Kind::Shl) {
+                    if (i >= s)
+                        l = bit(a, static_cast<uint32_t>(i - s));
+                } else if (i + s < w) {
+                    l = bit(a, static_cast<uint32_t>(i + s));
                 }
             }
-        } else {
-            out = shiftBits(a, blastRec(amt), e->kind());
+            bitRef(out, i) = l;
         }
-        break;
+        return out;
       }
       case Kind::Concat: {
-        const auto &hi = blastRec(e->kid(0));
-        const auto &lo = blastRec(e->kid(1));
-        out = lo;
-        out.insert(out.end(), hi.begin(), hi.end());
-        break;
+        Bits hi = kid(0);
+        Bits lo = kid(1);
+        Bits out = alloc(w);
+        for (uint32_t i = 0; i < lo.width; ++i)
+            bitRef(out, i) = bit(lo, i);
+        for (uint32_t i = 0; i < hi.width; ++i)
+            bitRef(out, lo.width + i) = bit(hi, i);
+        return out;
       }
       case Kind::Extract: {
-        const auto &a = blastRec(e->kid(0));
-        out.assign(a.begin() + e->aux(), a.begin() + e->aux() + w);
-        break;
+        Bits a = kid(0);
+        return {a.offset + e->aux(), w};
       }
-      case Kind::ZExt: {
-        out = blastRec(e->kid(0));
-        out.resize(w, constLit(false));
-        break;
-      }
+      case Kind::ZExt:
       case Kind::SExt: {
-        out = blastRec(e->kid(0));
-        Lit sign = out.back();
-        out.resize(w, sign);
-        break;
+        Bits a = kid(0);
+        Lit fill = e->kind() == Kind::SExt ? bit(a, a.width - 1)
+                                           : constLit(false);
+        Bits out = alloc(w);
+        for (uint32_t i = 0; i < w; ++i)
+            bitRef(out, i) = i < a.width ? bit(a, i) : fill;
+        return out;
       }
-      case Kind::Eq:
-        out = {eqBits(blastRec(e->kid(0)), blastRec(e->kid(1)))};
-        break;
-      case Kind::Ult:
-        out = {ultBits(blastRec(e->kid(0)), blastRec(e->kid(1)))};
-        break;
-      case Kind::Ule:
-        out = {litNot(ultBits(blastRec(e->kid(1)), blastRec(e->kid(0))))};
-        break;
+      case Kind::Eq: {
+        Bits b = kid(1);
+        Bits a = kid(0);
+        return lit(eqBits(a, b));
+      }
+      case Kind::Ult: {
+        Bits b = kid(1);
+        Bits a = kid(0);
+        return lit(ultBits(a, b));
+      }
+      case Kind::Ule: {
+        Bits a = kid(0);
+        Bits b = kid(1);
+        return lit(litNot(ultBits(b, a)));
+      }
       case Kind::Slt:
       case Kind::Sle: {
         // Signed compare == unsigned compare with inverted sign bits.
-        std::vector<Lit> a = blastRec(e->kid(0));
-        std::vector<Lit> b = blastRec(e->kid(1));
-        a.back() = litNot(a.back());
-        b.back() = litNot(b.back());
+        Bits a = kid(0);
+        Bits b = kid(1);
+        Bits sa = alloc(a.width);
+        Bits sb = alloc(b.width);
+        for (uint32_t i = 0; i < a.width; ++i) {
+            bitRef(sa, i) = bit(a, i);
+            bitRef(sb, i) = bit(b, i);
+        }
+        bitRef(sa, a.width - 1) = litNot(bit(a, a.width - 1));
+        bitRef(sb, b.width - 1) = litNot(bit(b, b.width - 1));
         if (e->kind() == Kind::Slt)
-            out = {ultBits(a, b)};
-        else
-            out = {litNot(ultBits(b, a))};
-        break;
+            return lit(ultBits(sa, sb));
+        return lit(litNot(ultBits(sb, sa)));
       }
       case Kind::Ite: {
         Lit c = blastBool(e->kid(0));
-        out = muxBits(c, blastRec(e->kid(1)), blastRec(e->kid(2)));
-        break;
+        Bits f = kid(2);
+        Bits t = kid(1);
+        return muxBits(c, t, f);
       }
     }
-
-    S2E_ASSERT(out.size() == w, "blast width mismatch for %s",
-               expr::kindName(e->kind()));
-    return cache_.emplace(e, std::move(out)).first->second;
+    panic("blastNode: bad kind %s", expr::kindName(e->kind()));
 }
 
 Lit
 BitBlaster::blastBool(ExprRef e)
 {
     S2E_ASSERT(e->width() == 1, "blastBool on width-%u expr", e->width());
-    return blastRec(e)[0];
+    return bit(blastRec(e), 0);
 }
 
 void
@@ -536,14 +636,8 @@ uint64_t
 BitBlaster::modelValue(ExprRef var) const
 {
     S2E_ASSERT(var->isVariable(), "modelValue on non-variable");
-    auto it = varBits_.find(var->varId());
-    if (it == varBits_.end())
-        return 0; // variable unconstrained by the query
-    uint64_t v = 0;
-    for (size_t i = 0; i < it->second.size(); ++i)
-        if (sat_.modelTrue(it->second[i]))
-            v |= 1ULL << i;
-    return v;
+    const Bits *bits = spans_.find(var);
+    return bits ? valueOf(*bits) : 0; // 0: unconstrained by the query
 }
 
 } // namespace s2e::solver

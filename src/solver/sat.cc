@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <new>
 
@@ -11,14 +12,16 @@
 namespace s2e::sat {
 
 void *
-SatSolver::ClauseArena::allocate(size_t bytes)
+SatSolver::Arena::allocate(size_t bytes)
 {
     constexpr size_t kFirstChunk = 4096;
     constexpr size_t kMaxChunk = 64 * 1024;
-    // Clause blocks are whole numbers of 4-byte words, so every block
-    // stays aligned for its header.
+    // Clause blocks are whole numbers of 4-byte words and watch arrays
+    // whole numbers of watchers, so in an arena of either kind every
+    // block stays aligned.
     static_assert(alignof(Clause) <= alignof(Lit) &&
                   sizeof(Clause) % alignof(Lit) == 0);
+    static_assert(sizeof(Watcher) % alignof(Watcher) == 0);
     if (bytes > left_) {
         size_t grown = kFirstChunk << std::min<size_t>(chunks_.size(), 4);
         size_t chunk = std::max(bytes, std::min(grown, kMaxChunk));
@@ -32,34 +35,35 @@ SatSolver::ClauseArena::allocate(size_t bytes)
     return p;
 }
 
-SatSolver::WatchList::WatchList(WatchList &&o) noexcept
-    : size_(o.size_), cap_(o.cap_)
+void
+SatSolver::WatchList::grow(Arena &spill)
 {
-    if (cap_ > kInline) {
-        heap_ = o.heap_;
-        o.cap_ = kInline;
-        o.size_ = 0;
-    } else {
-        std::copy(o.inline_, o.inline_ + size_, inline_);
-    }
+    uint32_t cap = cap_ * 2;
+    auto *grown = static_cast<Watcher *>(spill.allocate(cap * sizeof(Watcher)));
+    std::copy(data(), data() + size_, grown);
+    heap_ = grown;
+    cap_ = cap;
 }
 
-SatSolver::WatchList::~WatchList()
+SatSolver::WatchTable::~WatchTable()
 {
-    if (cap_ > kInline)
-        delete[] heap_;
+    // The lists own nothing: their outgrown arrays go with spill_.
+    std::free(lists_);
 }
 
 void
-SatSolver::WatchList::grow()
+SatSolver::WatchTable::addVar()
 {
-    uint32_t cap = cap_ * 2;
-    auto *grown = new Watcher[cap];
-    std::copy(data(), data() + size_, grown);
-    if (cap_ > kInline)
-        delete[] heap_;
-    heap_ = grown;
-    cap_ = cap;
+    if (size_ + 2 > cap_) {
+        size_t cap = cap_ ? 2 * cap_ : 64;
+        void *grown = std::realloc(lists_, cap * sizeof(WatchList));
+        if (!grown)
+            throw std::bad_alloc();
+        lists_ = static_cast<WatchList *>(grown);
+        cap_ = cap;
+    }
+    lists_[size_++].init();
+    lists_[size_++].init();
 }
 
 SatSolver::SatSolver() = default;
@@ -81,10 +85,11 @@ SatSolver::newVar()
     level_.push_back(0);
     activity_.push_back(0.0);
     seen_.push_back(0);
-    heapPos_.push_back(-1);
-    watches_.emplace_back();
-    watches_.emplace_back();
-    heapInsert(v);
+    watches_.addVar();
+    // heapInsert without the sift: a new variable's activity, 0, is
+    // no higher than any other, so it stays at the bottom.
+    heapPos_.push_back(static_cast<int>(heap_.size()));
+    heap_.push_back(v);
     return v;
 }
 
@@ -104,7 +109,21 @@ SatSolver::addClauseInPlace(Lit *lits, size_t n)
 
     // Sort, dedupe, drop false literals, detect tautologies and
     // satisfied clauses; the kept literals are compacted to the front.
-    std::sort(lits, lits + n);
+    // Two and three literals (every Tseitin clause) are sorted by a
+    // compare-exchange network, to the same order std::sort gives.
+    auto order = [&](size_t i, size_t j) {
+        if (lits[j] < lits[i])
+            std::swap(lits[i], lits[j]);
+    };
+    if (n == 2) {
+        order(0, 1);
+    } else if (n == 3) {
+        order(0, 1);
+        order(1, 2);
+        order(0, 1);
+    } else {
+        std::sort(lits, lits + n);
+    }
     size_t kept = 0;
     Lit prev = -1;
     for (size_t i = 0; i < n; ++i) {
@@ -158,8 +177,8 @@ void
 SatSolver::attachClause(Clause *c)
 {
     S2E_ASSERT(c->size >= 2, "attach of short clause");
-    watches_[litNot((*c)[0])].push_back({c, (*c)[1]});
-    watches_[litNot((*c)[1])].push_back({c, (*c)[0]});
+    watches_.push(litNot((*c)[0]), {c, (*c)[1]});
+    watches_.push(litNot((*c)[1]), {c, (*c)[0]});
 }
 
 void
@@ -206,7 +225,7 @@ SatSolver::propagate()
             for (size_t k = 2; k < lits.size; ++k) {
                 if (litValue(lits[k]) != LBool::False) {
                     std::swap(lits[1], lits[k]);
-                    watches_[litNot(lits[1])].push_back({c, first});
+                    watches_.push(litNot(lits[1]), {c, first});
                     moved = true;
                     break;
                 }

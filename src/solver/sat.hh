@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "support/stats.hh"
@@ -224,10 +225,13 @@ class SatSolver
     };
 
     /**
-     * Bump allocator for problem clauses, which live as long as the
-     * solver: chunks grow from 4 KiB to 64 KiB and are freed together.
+     * Bump allocator for blocks that live as long as the solver:
+     * problem clauses, and the arrays watch lists outgrow. Chunks grow
+     * from 4 KiB to 64 KiB and are freed together. Chunks start
+     * max-aligned and a caller asks only for multiples of the
+     * alignment it needs, so one arena serves one kind of block.
      */
-    class ClauseArena
+    class Arena
     {
       public:
         void *allocate(size_t bytes);
@@ -245,31 +249,36 @@ class SatSolver
 
     /**
      * One literal's watch list: the first kInline watchers are stored
-     * in place, beyond that the list moves to a heap array that
-     * doubles. Watcher order follows from the operations alone, never
-     * from the capacity, so kInline cannot change the search.
+     * in place, beyond that the list moves to an array from the
+     * WatchTable's arena that doubles (the outgrown array stays in
+     * the arena until the solver goes). Watcher order follows from the
+     * operations alone, never from the capacity, so kInline cannot
+     * change the search.
+     *
+     * The list is trivially copyable and owns nothing, so the
+     * WatchTable relocates it as bytes.
      */
     class WatchList
     {
       public:
         static constexpr uint32_t kInline = 4;
 
-        WatchList() = default;
-        WatchList(WatchList &&o) noexcept;
-        WatchList(const WatchList &) = delete;
-        WatchList &operator=(const WatchList &) = delete;
-        WatchList &operator=(WatchList &&) = delete;
-        ~WatchList();
-
+        /** An empty list. The inline watchers stay unwritten. */
+        void
+        init()
+        {
+            size_ = 0;
+            cap_ = kInline;
+        }
         size_t size() const { return size_; }
         Watcher *data() { return cap_ > kInline ? heap_ : inline_; }
         Watcher &operator[](size_t i) { return data()[i]; }
         Watcher &back() { return data()[size_ - 1]; }
         void
-        push_back(const Watcher &w)
+        push_back(const Watcher &w, Arena &spill)
         {
             if (size_ == cap_)
-                grow();
+                grow(spill);
             data()[size_++] = w;
         }
         void pop_back() { size_--; }
@@ -277,14 +286,41 @@ class SatSolver
         void truncate(size_t n) { size_ = static_cast<uint32_t>(n); }
 
       private:
-        void grow();
+        void grow(Arena &spill);
 
-        uint32_t size_ = 0;
-        uint32_t cap_ = kInline;
+        uint32_t size_;
+        uint32_t cap_;
         union {
-            Watcher inline_[kInline] = {};
+            Watcher inline_[kInline];
             Watcher *heap_;
         };
+    };
+    static_assert(std::is_trivially_copyable_v<WatchList>,
+                  "WatchTable relocates lists as bytes");
+
+    /**
+     * The watch lists, indexed by literal, in one block that grows by
+     * doubling, and the arena their outgrown arrays come from. Growing
+     * moves the lists as bytes (one realloc), not one by one.
+     */
+    class WatchTable
+    {
+      public:
+        WatchTable() = default;
+        WatchTable(const WatchTable &) = delete;
+        WatchTable &operator=(const WatchTable &) = delete;
+        ~WatchTable();
+
+        WatchList &operator[](Lit l) { return lists_[l]; }
+        void push(Lit l, const Watcher &w) { lists_[l].push_back(w, spill_); }
+        /** Append two empty lists: a new variable's two literals. */
+        void addVar();
+
+      private:
+        Arena spill_;
+        WatchList *lists_ = nullptr;
+        size_t size_ = 0;
+        size_t cap_ = 0;
     };
 
     LBool litValue(Lit l) const
@@ -322,10 +358,10 @@ class SatSolver
     void heapSiftDown(int i);
 
     bool ok_ = true;
-    ClauseArena arena_;               ///< storage of clauses_
+    Arena arena_;                     ///< storage of clauses_
     std::vector<Clause *> clauses_;   ///< problem clauses
     std::vector<Clause *> learnts_;   ///< one operator new block each
-    std::vector<WatchList> watches_;  ///< indexed by Lit
+    WatchTable watches_;              ///< indexed by Lit
     std::vector<LBool> assigns_;
     std::vector<LBool> model_; ///< snapshot of assigns_ at last Sat
     std::vector<bool> phase_;  ///< saved phases

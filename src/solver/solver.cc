@@ -370,36 +370,26 @@ Solver::solveSat(const std::vector<ExprRef> &constraints, ExprRef query,
       case sat::SatResult::Sat: {
         Assignment a;
         if (ctx) {
-            // The context's varBits span every expression ever blasted
-            // on this path; variables outside the active set carry
+            // The context has blasted every variable of this path's
+            // queries; variables outside the active set carry
             // arbitrary values (their constraints were switched off).
             // Restrict the model to this query's own variables.
-            const auto &var_bits = blaster->varBits();
             auto restrict_to = [&](ExprRef e) {
                 for (uint64_t id : varSets_.of(e)) {
                     if (a.has(id))
                         continue;
-                    auto it = var_bits.find(id);
-                    if (it == var_bits.end())
+                    ExprRef var = builder_.varById(id);
+                    if (!blaster->hasVar(var))
                         continue; // simplified away while blasting
-                    uint64_t v = 0;
-                    for (size_t i = 0; i < it->second.size(); ++i)
-                        if (sat->modelTrue(it->second[i]))
-                            v |= 1ULL << i;
-                    a.setById(id, v);
+                    a.setById(id, blaster->modelValue(var));
                 }
             };
             restrict_to(q);
             for (ExprRef c : sliced)
                 restrict_to(c);
         } else {
-            for (const auto &[var_id, bits] : blaster->varBits()) {
-                uint64_t v = 0;
-                for (size_t i = 0; i < bits.size(); ++i)
-                    if (sat->modelTrue(bits[i]))
-                        v |= 1ULL << i;
-                a.setById(var_id, v);
-            }
+            blaster->forEachModelValue(
+                [&](uint64_t id, uint64_t v) { a.setById(id, v); });
         }
         if (opts_.useModelCache)
             recentModels_.insert(a);

@@ -633,6 +633,8 @@ reextract(Engine &engine, replay::ComponentModels &models, bool clear_each)
     for (const auto &s : engine.allStates())
         by_path[s->pathId()] = s.get();
     expr::VarSets vars;
+    replay::WitnessSolver ws(engine.builder(), engine.config().solverOptions,
+                             nullptr);
     WitnessRun out;
     for (const auto &w : engine.witnesses()) {
         auto it = by_path.find(w->pathId);
@@ -643,8 +645,7 @@ reextract(Engine &engine, replay::ComponentModels &models, bool clear_each)
         if (clear_each)
             models.clear();
         replay::ExtractResult r = replay::extractWitness(
-            *it->second, engine.builder(), engine.config().solverOptions,
-            nullptr, models, vars);
+            *it->second, engine.builder(), ws, models, vars);
         if (!r.witness) {
             ADD_FAILURE() << "path " << w->pathId << ": " << r.error;
             continue;
@@ -691,6 +692,56 @@ TEST(ReplayWitnessExtraction, DdtWitnessesIgnoreComponentTableState)
     expectSameImages(serial, each, 2);
 }
 
+TEST(ReplayWitnessExtraction, BackToBackDdtEnginesKeepPinnedDigest)
+{
+    // Each engine, and each of its workers, extracts on a witness
+    // solver tied to that engine's builder. A solver that outlived its
+    // engine, or memo state carried from the first run into the
+    // second, would move the second run's bytes.
+    for (int run = 0; run < 2; ++run) {
+        tools::Ddt ddt(pcnetConfig());
+        WitnessRun pcnet;
+        pcnet.run = ddt.run().run;
+        collectWitnesses(ddt.engine(), pcnet);
+        EXPECT_EQ(pcnet.images.size(), 256u) << "run " << run;
+        EXPECT_EQ(witnessDigest(pcnet), "3e56d99ca6473b88") << "run " << run;
+    }
+}
+
+TEST(ReplayWitnessExtraction, FourWorkerWitnessesMatchFreshExtraction)
+{
+    // Four workers extract on their own witness solvers (the tsan
+    // label runs this under ThreadSanitizer, which reports a solver
+    // shared between threads). Which paths a budgeted 4-worker run
+    // reaches depends on the schedule; each witness must still be the
+    // bytes a fresh solver and an empty component table give its path.
+    tools::DdtConfig config = pcnetConfig();
+    config.numWorkers = 4;
+    tools::Ddt ddt(config);
+    ddt.run();
+    Engine &engine = ddt.engine();
+    WitnessRun parallel;
+    collectWitnesses(engine, parallel);
+    ASSERT_GT(parallel.images.size(), 0u);
+
+    std::map<std::string, const ExecutionState *> by_path;
+    for (const auto &st : engine.allStates())
+        by_path[st->pathId()] = st.get();
+    for (const auto &[path, img] : parallel.images) {
+        auto it = by_path.find(path);
+        ASSERT_NE(it, by_path.end()) << "no state for witnessed path " << path;
+        replay::WitnessSolver ws(engine.builder(),
+                                 engine.config().solverOptions, nullptr);
+        replay::ComponentModels models;
+        expr::VarSets vars;
+        replay::ExtractResult r = replay::extractWitness(
+            *it->second, engine.builder(), ws, models, vars);
+        ASSERT_TRUE(r.witness) << "path " << path << ": " << r.error;
+        EXPECT_TRUE(replay::serializeWitness(*r.witness) == img)
+            << "witness for path " << path << " differs from a fresh one";
+    }
+}
+
 /** A state over logged 32-bit register inputs `logged`, carrying the
  *  path constraints `constraints`. */
 std::unique_ptr<ExecutionState>
@@ -721,8 +772,9 @@ TEST(ReplayWitnessExtraction, PathModelIsTheUnionOfComponentModels)
         stateWith({"a", "b", "c"}, {x_small, a_is_1, x_odd, c_is_3});
     replay::ComponentModels models;
     expr::VarSets vars;
-    replay::ExtractResult r = replay::extractWitness(
-        *first, b, solver::SolverOptions{}, nullptr, models, vars);
+    replay::WitnessSolver ws(b, solver::SolverOptions{}, nullptr);
+    replay::ExtractResult r =
+        replay::extractWitness(*first, b, ws, models, vars);
     ASSERT_TRUE(r.witness) << r.error;
     EXPECT_EQ(r.componentSolves, 3u);
     EXPECT_EQ(r.componentHits, 0u);
@@ -736,8 +788,7 @@ TEST(ReplayWitnessExtraction, PathModelIsTheUnionOfComponentModels)
     // Another path with the same {b} component sequence reuses it.
     ExprRef a_is_2 = b.eq(a, b.constant(2, 32));
     auto second = stateWith({"a", "b"}, {a_is_2, x_small, x_odd});
-    r = replay::extractWitness(*second, b, solver::SolverOptions{}, nullptr,
-                               models, vars);
+    r = replay::extractWitness(*second, b, ws, models, vars);
     ASSERT_TRUE(r.witness) << r.error;
     EXPECT_EQ(r.componentSolves, 1u);
     EXPECT_EQ(r.componentHits, 1u);
@@ -757,8 +808,9 @@ TEST(ReplayWitnessExtraction, UnsatComponentFailsAndIsNotCached)
     auto state = stateWith({"a", "b", "c"}, {a_is_1, x_lo, c_is_3, x_hi});
     replay::ComponentModels models;
     expr::VarSets vars;
-    replay::ExtractResult r = replay::extractWitness(
-        *state, b, solver::SolverOptions{}, nullptr, models, vars);
+    replay::WitnessSolver ws(b, solver::SolverOptions{}, nullptr);
+    replay::ExtractResult r =
+        replay::extractWitness(*state, b, ws, models, vars);
     EXPECT_FALSE(r.witness);
     EXPECT_EQ(r.error, "path constraints unsatisfiable");
     EXPECT_EQ(r.componentSolves, 2u); // {a}, then {b} fails
@@ -768,8 +820,7 @@ TEST(ReplayWitnessExtraction, UnsatComponentFailsAndIsNotCached)
     EXPECT_FALSE(models.lookup({x_lo, x_hi}, probe));
 
     // A retry is served {a} and solves the Unsat component again.
-    r = replay::extractWitness(*state, b, solver::SolverOptions{}, nullptr,
-                               models, vars);
+    r = replay::extractWitness(*state, b, ws, models, vars);
     EXPECT_EQ(r.error, "path constraints unsatisfiable");
     EXPECT_EQ(r.componentHits, 1u);
     EXPECT_EQ(r.componentSolves, 1u);
@@ -786,8 +837,9 @@ TEST(ReplayWitnessExtraction, UnloggedVariableInLaterComponentFails)
                                         b.eq(x, b.constant(2, 32))});
     replay::ComponentModels models;
     expr::VarSets vars;
-    replay::ExtractResult r = replay::extractWitness(
-        *state, b, solver::SolverOptions{}, nullptr, models, vars);
+    replay::WitnessSolver ws(b, solver::SolverOptions{}, nullptr);
+    replay::ExtractResult r =
+        replay::extractWitness(*state, b, ws, models, vars);
     EXPECT_FALSE(r.witness);
     EXPECT_EQ(r.error,
               "constraint variable 'b' missing from nondeterminism log");

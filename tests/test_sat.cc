@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "expr/builder.hh"
+#include "expr/eval.hh"
 #include "solver/bitblast.hh"
 #include "solver/sat.hh"
 #include "support/rng.hh"
@@ -642,6 +643,168 @@ TEST(Sat, SearchIsPinned)
 
     EXPECT_EQ(fnv.h, 0x41ea4c5d7447ab40ULL)
         << std::hex << "digest 0x" << fnv.h;
+}
+
+/** A width-1 constraint whose blasting goes through `kind` at width
+ *  `w` (>= 8), over the width-w variables x, y and the constant k. */
+ExprRef
+kindConstraint(expr::ExprBuilder &b, expr::Kind kind, unsigned w, ExprRef x,
+               ExprRef y, uint64_t k)
+{
+    using expr::Kind;
+    ExprRef kc = b.constant(k, w);
+    unsigned half = w / 2;
+    switch (kind) {
+      case Kind::Constant: return b.eq(b.bXor(x, kc), y);
+      case Kind::Variable: return b.ne(x, y);
+      case Kind::Add: return b.eq(b.add(x, y), kc);
+      case Kind::Sub: return b.eq(b.sub(x, y), kc);
+      case Kind::Mul: return b.eq(b.mul(x, y), kc);
+      case Kind::UDiv: return b.eq(b.udiv(x, y), kc);
+      case Kind::SDiv: return b.eq(b.sdiv(x, y), kc);
+      case Kind::URem: return b.eq(b.urem(x, y), kc);
+      case Kind::SRem: return b.eq(b.srem(x, y), kc);
+      case Kind::And: return b.eq(b.bAnd(x, y), kc);
+      case Kind::Or: return b.eq(b.bOr(x, y), kc);
+      case Kind::Xor: return b.eq(b.bXor(x, y), kc);
+      case Kind::Not: return b.eq(b.bNot(x), y);
+      case Kind::Neg: return b.eq(b.neg(x), y);
+      // Variable amounts take the barrel shifter's power-of-two
+      // branch; constant amounts take the rewiring branch.
+      case Kind::Shl:
+        return b.land(b.eq(b.shl(x, y), kc),
+                      b.ult(b.shl(y, b.constant(3, w)), x));
+      case Kind::LShr:
+        return b.land(b.eq(b.lshr(x, y), kc),
+                      b.ult(b.lshr(y, b.constant(half + 1, w)), x));
+      case Kind::AShr:
+        return b.land(b.eq(b.ashr(x, y), kc),
+                      b.slt(b.ashr(y, b.constant(w - 1, w)), x));
+      case Kind::Concat:
+        return b.eq(b.concat(b.extract(x, 0, half), b.extract(y, half, half)),
+                    kc);
+      case Kind::Extract:
+        return b.eq(b.extract(x, 3, half), b.extract(y, 1, half));
+      case Kind::ZExt: return b.eq(b.zext(b.extract(x, 1, half), w), y);
+      case Kind::SExt: return b.eq(b.sext(b.extract(x, 2, half), w), y);
+      case Kind::Eq: return b.eq(b.add(x, kc), y);
+      case Kind::Ult: return b.ult(b.add(x, kc), y);
+      case Kind::Ule: return b.ule(x, b.sub(y, kc));
+      case Kind::Slt: return b.slt(b.add(x, kc), y);
+      case Kind::Sle: return b.sle(x, b.mul(y, kc));
+      case Kind::Ite:
+        return b.eq(b.ite(b.ult(x, kc), b.add(x, y), b.sub(y, x)), kc);
+    }
+    return b.trueExpr();
+}
+
+/**
+ * Pins the CNF at the widths DDT+ mostly blasts: every expression
+ * kind at widths 8 and 32, asserted directly and behind activation
+ * literals, each in its own solver and then all kinds together in one
+ * (which exercises gate sharing across kinds). The digest covers gate
+ * and clause counts and every solve's answer, search counters and
+ * model, so a change to any gate, its clauses or their order fails it.
+ */
+TEST(BitBlaster, CnfIsPinnedAtPowerOfTwoWidths)
+{
+    using expr::Kind;
+    Fnv64 fnv;
+    Rng rng(0xb1a57);
+    const QueryBudget budget{400, -1};
+    expr::ExprBuilder b;
+    for (unsigned w : {8u, 32u}) {
+        ExprRef x = b.freshVar("px", w);
+        ExprRef y = b.freshVar("py", w);
+        std::vector<ExprRef> all;
+        for (int k = 0; k <= static_cast<int>(Kind::Ite); ++k)
+            all.push_back(kindConstraint(b, static_cast<Kind>(k), w, x, y,
+                                         rng.next()));
+        for (bool guarded : {false, true}) {
+            for (ExprRef c : all) {
+                SatSolver s;
+                solver::BitBlaster blaster(s);
+                if (guarded) {
+                    Lit g = mkLit(s.newVar());
+                    blaster.assertImplies(g, c);
+                    hashSolve(fnv, s, s.solve({g}, budget));
+                    hashSolve(fnv, s, s.solve({litNot(g)}, budget));
+                } else {
+                    blaster.assertTrue(c);
+                    hashSolve(fnv, s, s.solve({}, budget));
+                }
+                fnv.add(blaster.numGates());
+                fnv.add(s.numClauses());
+            }
+            SatSolver s;
+            solver::BitBlaster blaster(s);
+            std::vector<Lit> guards;
+            for (ExprRef c : all) {
+                if (guarded) {
+                    guards.push_back(mkLit(s.newVar()));
+                    blaster.assertImplies(guards.back(), c);
+                } else {
+                    blaster.assertTrue(b.lor(c, b.eq(x, y)));
+                }
+            }
+            for (int q = 0; q < 3; ++q) {
+                std::vector<Lit> assumptions;
+                for (Lit g : guards)
+                    if (rng.chance(0.3))
+                        assumptions.push_back(g);
+                hashSolve(fnv, s, s.solve(assumptions, budget));
+            }
+            fnv.add(blaster.numGates());
+            fnv.add(s.numClauses());
+        }
+    }
+    EXPECT_EQ(fnv.h, 0x684f64bab75ef75dULL)
+        << std::hex << "digest 0x" << fnv.h;
+}
+
+/**
+ * A deep, wide DAG whose every node reads kids blasted long before,
+ * so kid bits are read after the blaster's storage has grown many
+ * times over (the sanitize label runs this under ASan). The blasted
+ * circuit must still compute the evaluator's value.
+ */
+TEST(BitBlaster, DeepDagReadsKidsAcrossStorageGrowth)
+{
+    expr::ExprBuilder b;
+    const unsigned w = 32;
+    ExprRef x = b.freshVar("dx", w);
+    ExprRef y = b.freshVar("dy", w);
+    std::vector<ExprRef> layer{x, y};
+    for (int i = 0; i < 40; ++i) {
+        ExprRef a = layer[layer.size() - 1];
+        ExprRef c = layer[layer.size() / 2];
+        ExprRef next = i % 3 == 0   ? b.add(a, b.bXor(c, x))
+                       : i % 3 == 1 ? b.concat(b.extract(a, 0, 16),
+                                               b.extract(c, 8, 16))
+                                    : b.ite(b.ult(a, c), b.sub(c, y), a);
+        layer.push_back(next);
+    }
+    ExprRef root = layer.back();
+    expr::Assignment at;
+    at.set(x, 0x12345678);
+    at.set(y, 0x9abcdef0);
+    expr::Evaluator eval;
+    eval.reset(at);
+    uint64_t want = eval.evaluate(root);
+
+    for (bool right : {true, false}) {
+        SatSolver s;
+        solver::BitBlaster blaster(s);
+        blaster.assertTrue(b.eq(x, b.constant(0x12345678, w)));
+        blaster.assertTrue(b.eq(y, b.constant(0x9abcdef0, w)));
+        blaster.assertTrue(
+            b.eq(root, b.constant(right ? want : want ^ 1, w)));
+        EXPECT_EQ(s.solve(), right ? SatResult::Sat : SatResult::Unsat);
+        if (right) {
+            EXPECT_EQ(blaster.modelValue(x), 0x12345678u);
+            EXPECT_EQ(blaster.modelValue(y), 0x9abcdef0u);
+        }
+    }
 }
 
 } // namespace

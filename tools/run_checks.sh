@@ -32,6 +32,14 @@
 #                                parallel suite's counting Searcher
 #                                catches any call that escapes the
 #                                engine's Searcher mutex)
+#   4. a Release build          — the library targets built at
+#                                -DCMAKE_BUILD_TYPE=Release (-O3) with
+#                                -Werror under build-release/: GCC's
+#                                -O3 inlining reaches diagnostics
+#                                (-Wstringop-overflow, -Wrestrict) that
+#                                the default RelWithDebInfo build never
+#                                prints, so this gate keeps the shipped
+#                                optimization level warning-free too
 # Also gates clang-tidy (zero warnings over src/expr and src/solver,
 # skipped when clang-tidy is not installed) and diffs a fresh
 # bench_fork_storm report against the committed baseline: missing
@@ -41,19 +49,26 @@
 # exploration core, the solver pipeline or the state lifecycle lands.
 #
 # Usage: tools/run_checks.sh [build-dir] [tsan-build-dir] [asan-build-dir]
+#                            [release-build-dir]
 #   build-dir:      existing default-config build (default: build);
 #                   configured+built here if missing.
 #   tsan-build-dir: the -DS2E_SANITIZE=thread build (default:
 #                   build-tsan); configured+built here if missing.
 #   asan-build-dir: the -DS2E_SANITIZE=address build (default:
 #                   build-asan); configured+built here if missing.
+#   release-build-dir: the Release -Werror build (default:
+#                   build-release); configured+built here if missing.
 set -u
 
 repo_root=$(cd "$(dirname "$0")/.." && pwd)
 build_dir=${1:-"$repo_root/build"}
 tsan_dir=${2:-"$repo_root/build-tsan"}
 asan_dir=${3:-"$repo_root/build-asan"}
+release_dir=${4:-"$repo_root/build-release"}
 jobs=$(nproc 2>/dev/null || echo 2)
+
+library_targets="s2e_support s2e_expr s2e_solver s2e_isa s2e_vm s2e_dbt \
+s2e_analysis s2e_perf s2e_core s2e_obs s2e_plugins s2e_guest s2e_tools"
 
 check_targets="test_parallel test_incremental test_lifecycle test_absint \
 test_replay test_workqueue test_expr test_sat test_solver"
@@ -97,6 +112,14 @@ cmake --build "$tsan_dir" -j "$jobs" \
     --target $check_targets || exit 1
 (cd "$tsan_dir" && ctest -L tsan --output-on-failure) || status=1
 (cd "$tsan_dir" && ctest -L lifecycle --output-on-failure) || status=1
+
+echo "== run_checks: Release warning gate ($release_dir) =="
+if [ ! -f "$release_dir/CMakeCache.txt" ]; then
+    cmake -B "$release_dir" -S "$repo_root" -DCMAKE_BUILD_TYPE=Release \
+        -DCMAKE_CXX_FLAGS=-Werror || exit 1
+fi
+cmake --build "$release_dir" -j "$jobs" --target $library_targets ||
+    status=1
 
 # Bench diff: regenerate each benched report and compare it against
 # its committed baseline. Metric *presence* is a hard gate — a counter
