@@ -68,16 +68,6 @@ Engine::curProfiler()
     return tlsWorker_ ? tlsWorker_->profiler : profiler_;
 }
 
-replay::WitnessSolver &
-Engine::curWitnessSolver()
-{
-    if (tlsWorker_)
-        return tlsWorker_->witnessSolver;
-    if (!witnessSolver_)
-        witnessSolver_.emplace(builder_, config_.solverOptions, &profiler_);
-    return *witnessSolver_;
-}
-
 namespace {
 
 /** Default scheduling policy: depth-first (run the newest state). */
@@ -236,6 +226,10 @@ Engine::Engine(vm::MachineConfig machine, EngineConfig config)
         &stats_.counterSlot("engine.witness_component_solves");
     hot_.witnessComponentHits =
         &stats_.counterSlot("engine.witness_component_hits");
+    hot_.witnessBacklogPeak =
+        &stats_.counterSlot("engine.witness.backlog_peak");
+    hot_.witnessExtractSeconds =
+        &stats_.timerSlot("engine.witness.extract_s");
     hot_.replayDivergences =
         &stats_.counterSlot("engine.replay_divergences");
     solver_.setProfiler(&profiler_);
@@ -1722,37 +1716,101 @@ Engine::maybeEmitWitness(ExecutionState &state)
         Stats::bump(*hot_.witnessesSkipped);
         return;
     }
+    // The witness gets its slot now, so witnesses_ keeps retirement
+    // order however the extractions interleave.
+    {
+        std::lock_guard<std::mutex> lock(witnessMutex_);
+        witnessQueue_.push_back({&state, witnesses_.size()});
+        witnesses_.emplace_back();
+        witnessesPending_++;
+        Stats::raiseTo(*hot_.witnessBacklogPeak, witnessQueue_.size());
+    }
+    witnessWork_.notify_one();
+}
+
+void
+Engine::runWitnessJob(const WitnessJob &job, replay::WitnessSolver &ws)
+{
+    const ExecutionState &state = *job.state;
     replay::ExtractResult r =
-        replay::extractWitness(state, builder_, curWitnessSolver(),
-                               witnessModels_, curSolver().varSets());
+        replay::extractWitness(state, builder_, ws, witnessModels_);
     Stats::bump(*hot_.witnessComponentSolves, r.componentSolves);
     Stats::bump(*hot_.witnessComponentHits, r.componentHits);
     if (!r.witness) {
         Stats::bump(*hot_.witnessExtractFailures);
         warn("witness extraction failed for path %s: %s",
              state.pathId().c_str(), r.error.c_str());
-        return;
+    } else {
+        Stats::bump(*hot_.witnessesEmitted);
+        if (!config_.witnessDir.empty()) {
+            std::error_code ec;
+            std::filesystem::create_directories(config_.witnessDir, ec);
+            std::vector<uint8_t> image =
+                replay::serializeWitness(*r.witness);
+            std::string path = config_.witnessDir + "/" +
+                               r.witness->pathId + ".witness";
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(reinterpret_cast<const char *>(image.data()),
+                      static_cast<std::streamsize>(image.size()));
+        }
     }
-    Stats::bump(*hot_.witnessesEmitted);
-    if (!config_.witnessDir.empty()) {
-        std::error_code ec;
-        std::filesystem::create_directories(config_.witnessDir, ec);
-        std::vector<uint8_t> image = replay::serializeWitness(*r.witness);
-        std::string path = config_.witnessDir + "/" + r.witness->pathId +
-                           ".witness";
-        std::ofstream out(path, std::ios::binary | std::ios::trunc);
-        out.write(reinterpret_cast<const char *>(image.data()),
-                  static_cast<std::streamsize>(image.size()));
+    bool idle;
+    {
+        std::lock_guard<std::mutex> lock(witnessMutex_);
+        witnesses_[job.slot] = std::move(r.witness);
+        idle = --witnessesPending_ == 0;
     }
-    std::lock_guard<std::mutex> lock(witnessMutex_);
-    witnesses_.push_back(std::move(r.witness));
+    if (idle)
+        witnessIdle_.notify_all();
+}
+
+void
+Engine::drainWitnesses(replay::WitnessSolver &ws)
+{
+    for (;;) {
+        WitnessJob job;
+        {
+            std::lock_guard<std::mutex> lock(witnessMutex_);
+            if (witnessQueue_.empty())
+                return;
+            job = witnessQueue_.front();
+            witnessQueue_.pop_front();
+        }
+        runWitnessJob(job, ws);
+    }
+}
+
+void
+Engine::witnessThreadLoop(replay::WitnessSolver &ws)
+{
+    for (;;) {
+        {
+            std::unique_lock<std::mutex> lock(witnessMutex_);
+            witnessWork_.wait(lock, [this] {
+                return witnessStop_ || !witnessQueue_.empty();
+            });
+            if (witnessQueue_.empty())
+                return; // stopped with nothing left
+        }
+        auto t0 = std::chrono::steady_clock::now();
+        drainWitnesses(ws);
+        Stats::bumpSeconds(*hot_.witnessExtractSeconds,
+                           std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - t0)
+                               .count());
+    }
 }
 
 std::vector<std::shared_ptr<const replay::Witness>>
 Engine::witnesses() const
 {
+    // Slots of extractions still running or failed stay null.
+    std::vector<std::shared_ptr<const replay::Witness>> out;
     std::lock_guard<std::mutex> lock(witnessMutex_);
-    return witnesses_;
+    for (const auto &w : witnesses_)
+        if (w)
+            out.push_back(w);
+    return out;
 }
 
 void
@@ -1844,10 +1902,6 @@ Engine::releaseStateResources(ExecutionState &state)
     if (state.resourcesReleased)
         return;
     state.resourcesReleased = true;
-    // Witness extraction needs the path constraints, which stay on the
-    // state until destruction — but the exactly-once guarantee of this
-    // funnel is what makes it the right emission point.
-    maybeEmitWitness(state);
     state.solverCtx.reset(); // terminated paths never query again
     if (!state.spillKey.empty()) {
         spillStore_->release(state.spillKey);
@@ -1856,6 +1910,10 @@ Engine::releaseStateResources(ExecutionState &state)
     // A spilled state already left the resident count at spill time.
     if (!state.spilled)
         residentDec();
+    // Last: a queued state is read-only (see witnessMutex_), and the
+    // exactly-once guarantee of this funnel makes it the right
+    // emission point.
+    maybeEmitWitness(state);
 }
 
 bool
@@ -2063,6 +2121,20 @@ Engine::run()
     }
     budgetExhausted_.store(false, std::memory_order_relaxed);
 
+    // Witness extraction gets its own thread, solver and profiler, so
+    // its solves stay out of the workers' phase table (whose fractions
+    // are of workers x wall).
+    obs::PhaseProfiler witness_profiler(config_.profileExecution);
+    std::optional<replay::WitnessSolver> witness_solver;
+    std::thread witness_thread;
+    if (recording_) {
+        witness_solver.emplace(builder_, config_.solverOptions,
+                               &witness_profiler);
+        witnessStop_ = false;
+        witness_thread = std::thread(
+            [this, &ws = *witness_solver] { witnessThreadLoop(ws); });
+    }
+
     // Round loop: one round runs every active state to termination or
     // a merge point. Between rounds every worker has returned and
     // nothing executes, so arrival at each merge pc is complete and
@@ -2089,6 +2161,21 @@ Engine::run()
             break;
         }
         drainMergePool();
+    }
+
+    if (recording_) {
+        // The merge barrier may have queued more; help with what is
+        // left, then wait for the extraction thread's last job.
+        drainWitnesses(workers[0]->witnessSolver);
+        {
+            std::unique_lock<std::mutex> lock(witnessMutex_);
+            witnessIdle_.wait(lock, [this] { return witnessesPending_ == 0; });
+            witnessStop_ = true;
+        }
+        witnessWork_.notify_one();
+        witness_thread.join();
+        stats_.addSeconds("engine.witness.solver_s",
+                          witness_profiler.seconds(obs::Phase::Solver));
     }
 
     // Workers are quiescent: fold their telemetry into the engine-level
@@ -2264,6 +2351,10 @@ Engine::workerLoop(WorkerContext &w, WorkQueue &queue,
                              .count();
     }
     tlsWorker_ = nullptr;
+    // Nothing left to explore this round: help the extraction thread
+    // with its backlog, or it alone would finish the run.
+    if (recording_)
+        drainWitnesses(w.witnessSolver);
 }
 
 } // namespace s2e::core

@@ -16,6 +16,8 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -150,8 +152,9 @@ struct EngineConfig {
      * terminated path (Halted/Killed/Crashed, not merged, constraints
      * resident): a complete concrete input assignment extracted from
      * a fresh solver model plus the path's ordered nondeterminism log.
-     * Ignored under RC-CC (infeasible paths have no model) and in
-     * replay mode.
+     * Extraction runs beside exploration on a thread run() starts, and
+     * run() returns once every witness is done. Ignored under RC-CC
+     * (infeasible paths have no model) and in replay mode.
      */
     bool emitWitnesses = false;
 
@@ -341,7 +344,8 @@ class Engine
         return currentMemBytes_.load(std::memory_order_relaxed);
     }
 
-    /** Witnesses emitted so far (EngineConfig::emitWitnesses). */
+    /** Witnesses emitted so far (EngineConfig::emitWitnesses), in the
+     *  order their paths retired; complete once run() returns. */
     std::vector<std::shared_ptr<const replay::Witness>> witnesses() const;
 
     /** Component models witness extraction reuses across this
@@ -365,11 +369,10 @@ class Engine
      *  run(); null outside run() and between its rounds. */
     static thread_local WorkerContext *tlsWorker_;
 
-    /** Solver/profiler/witness solver for the calling thread: the
-     *  worker's own inside a round, the engine-level ones otherwise. */
+    /** Solver/profiler for the calling thread: the worker's own
+     *  inside a round, the engine-level ones otherwise. */
     solver::Solver &curSolver();
     obs::PhaseProfiler &curProfiler();
-    replay::WitnessSolver &curWitnessSolver();
 
     /** One worker's exploration loop over its shard of `queue`. */
     void workerLoop(WorkerContext &w, WorkQueue &queue,
@@ -455,9 +458,25 @@ class Engine
                      uint32_t pc, uint32_t a, uint32_t b,
                      std::vector<std::string> vars = {});
 
-    /** Extract + store a witness for an eligible terminated state.
+    /** Queue an eligible terminated state for witness extraction.
      *  Runs exactly once per state, from releaseStateResources. */
     void maybeEmitWitness(ExecutionState &state);
+
+    /** A retired state waiting for its witness, and the slot of
+     *  witnesses_ reserved for it when it was queued. */
+    struct WitnessJob {
+        const ExecutionState *state = nullptr;
+        size_t slot = 0;
+    };
+    /** Extract a job's witness on `ws` and store it in its slot. */
+    void runWitnessJob(const WitnessJob &job, replay::WitnessSolver &ws);
+    /** Run queued jobs, oldest first, on `ws` until the queue is empty
+     *  (a worker whose round ran out of states helps the extraction
+     *  thread). */
+    void drainWitnesses(replay::WitnessSolver &ws);
+    /** The extraction thread: drains the queue whenever it is
+     *  non-empty, until witnessStop_ is set and the queue is empty. */
+    void witnessThreadLoop(replay::WitnessSolver &ws);
 
     /** Latch a replay divergence and kill the state. */
     void replayDiverge(ExecutionState &state, const std::string &what);
@@ -554,6 +573,8 @@ class Engine
         uint64_t *witnessesSkipped = nullptr;
         uint64_t *witnessComponentSolves = nullptr;
         uint64_t *witnessComponentHits = nullptr;
+        uint64_t *witnessBacklogPeak = nullptr;
+        double *witnessExtractSeconds = nullptr;
         uint64_t *replayDivergences = nullptr;
     } hot_;
     SiteCounterCache concretizationSites_;
@@ -601,17 +622,33 @@ class Engine
     std::atomic<uint64_t> residentStates_{0};
 
     // Record/replay machinery. recording_ is fixed at construction
-    // (emitWitnesses, feasible model, not replaying); witnessMutex_
-    // guards witnesses_ (workers emit from their own termination
-    // funnels). replayCursor_ is non-null only in replay mode, which
-    // always runs one worker.
+    // (emitWitnesses, feasible model, not replaying). replayCursor_ is
+    // non-null only in replay mode, which always runs one worker.
+    //
+    // Witness extraction is off the exploration path: the termination
+    // funnel queues an eligible state, and the extraction thread run()
+    // starts (or a worker with nothing left to run) extracts it. A
+    // queued state is retired and read-only: from enqueue on, nothing
+    // writes the fields extraction reads (constraints, replayLog, cpu,
+    // status, exitCode, instrCount, blockCount, the path id). The
+    // enqueue is the last step of releaseStateResources; after it only
+    // accountedBytes changes. witnessMutex_ guards witnesses_, the
+    // queue and the pending count. A job's witness goes to the slot
+    // reserved at enqueue, so witnesses_ keeps retirement order
+    // whichever thread finishes first (null until then, and for
+    // failed extractions).
     bool recording_ = false;
     mutable std::mutex witnessMutex_;
     std::vector<std::shared_ptr<const replay::Witness>> witnesses_;
+    std::deque<WitnessJob> witnessQueue_;
+    /** Jobs queued or being extracted; run() waits for 0. */
+    size_t witnessesPending_ = 0;
+    bool witnessStop_ = false;
+    /** witnessWork_ wakes the extraction thread (a job, or the stop);
+     *  witnessIdle_ wakes run() once no job is pending. */
+    std::condition_variable witnessWork_;
+    std::condition_variable witnessIdle_;
     replay::ComponentModels witnessModels_;
-    /** Witness extraction outside a round (workers have their own);
-     *  built on first use, which most runs never make. */
-    std::optional<replay::WitnessSolver> witnessSolver_;
     std::unique_ptr<replay::ReplayCursor> replayCursor_;
 };
 

@@ -68,7 +68,7 @@ ComponentModels::lookup(const Key &key, expr::Assignment &model) const
     return true;
 }
 
-void
+bool
 ComponentModels::insert(const Key &key, const expr::Assignment &model)
 {
     Model sorted(model.values().begin(), model.values().end());
@@ -77,7 +77,7 @@ ComponentModels::insert(const Key &key, const expr::Assignment &model)
     if (table_.size() >= kMaxEntries && !table_.count(key))
         table_.clear();
     // A concurrent fill of the same key stored the same model.
-    table_.emplace(key, std::move(sorted));
+    return table_.emplace(key, std::move(sorted)).second;
 }
 
 void
@@ -104,8 +104,7 @@ WitnessSolver::WitnessSolver(expr::ExprBuilder &builder,
 
 ExtractResult
 extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
-               WitnessSolver &ws, ComponentModels &models,
-               expr::VarSets &varSets)
+               WitnessSolver &ws, ComponentModels &models)
 {
     ExtractResult out;
 
@@ -129,6 +128,7 @@ extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
     std::vector<size_t> parent(cs.size());
     std::iota(parent.begin(), parent.end(), size_t{0});
     std::unordered_map<uint64_t, size_t> owner; // var id -> a constraint
+    expr::VarSets &varSets = ws.solver.varSets();
     for (size_t i = 0; i < cs.size(); ++i) {
         for (uint64_t id : varSets.of(cs[i])) {
             if (!created_ids.count(id)) {
@@ -163,16 +163,19 @@ extractWitness(const ExecutionState &state, expr::ExprBuilder &builder,
             out.componentHits++;
             continue;
         }
-        out.componentSolves++;
         expr::Assignment part;
         auto q = ws.solver.getInitialValues(component, &part);
         if (!q.isSat()) {
+            out.componentSolves++;
             out.error = q.isUnsat()
                             ? "path constraints unsatisfiable"
                             : "solver gave up on model extraction";
             return out;
         }
-        models.insert(component, part);
+        if (models.insert(component, part))
+            out.componentSolves++;
+        else
+            out.componentHits++;
         for (const auto &[id, value] : part.values())
             model.setById(id, value);
     }

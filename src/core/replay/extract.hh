@@ -21,7 +21,6 @@
 
 namespace s2e::expr {
 class ExprBuilder;
-class VarSets;
 }
 
 namespace s2e::core {
@@ -58,8 +57,9 @@ class ComponentModels
     /** Add the model cached for `key` to `model`; false on a miss. */
     bool lookup(const Key &key, expr::Assignment &model) const;
 
-    /** Cache `model`, a Sat answer for exactly the constraints `key`. */
-    void insert(const Key &key, const expr::Assignment &model);
+    /** Cache `model`, a Sat answer for exactly the constraints `key`.
+     *  False when the table already held `key` (a concurrent fill). */
+    bool insert(const Key &key, const expr::Assignment &model);
 
     void clear();
     size_t size() const;
@@ -101,7 +101,13 @@ struct WitnessSolver {
 struct ExtractResult {
     std::shared_ptr<const Witness> witness;
     std::string error;
-    /** Components solved afresh, and components served by the table. */
+    /**
+     * Components this extraction solved and added to the table (or
+     * failed to solve), and components the table held: found at lookup,
+     * or filled by a concurrent extraction while this one solved. So
+     * the counts do not depend on how extractions interleave: without a
+     * clear, an engine's solves are its distinct components.
+     */
     uint64_t componentSolves = 0;
     uint64_t componentHits = 0;
 };
@@ -122,14 +128,14 @@ struct ExtractResult {
  * assignment is validated by concretely evaluating every path
  * constraint with `ws.validator`; any violation fails the extraction.
  *
- * The queries are charged to the profiler `ws.solver` was given. The
- * partition reads each constraint's variables from `varSets`, the
- * calling worker's solver memo (Solver::varSets()).
+ * The queries are charged to the profiler `ws.solver` was given, and
+ * the partition reads each constraint's variables from its memo
+ * (`ws.solver.varSets()`). `state` is only read: it must be retired,
+ * so nothing writes the fields read here while this runs.
  */
 ExtractResult extractWitness(const ExecutionState &state,
                              expr::ExprBuilder &builder, WitnessSolver &ws,
-                             ComponentModels &models,
-                             expr::VarSets &varSets);
+                             ComponentModels &models);
 
 } // namespace replay
 } // namespace s2e::core

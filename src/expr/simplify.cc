@@ -25,7 +25,24 @@ knownBits(ExprRef e)
 ExprRef
 Simplifier::simplify(ExprRef e)
 {
-    return simplifyDemanded(e, lowMask(e->width()));
+    return simplifyDemandedBits(e, lowMask(e->width()));
+}
+
+ExprRef
+Simplifier::simplifyDemandedBits(ExprRef e, uint64_t demanded)
+{
+    ExprRef out = simplifyDemanded(e, demanded);
+    trimCaches();
+    return out;
+}
+
+void
+Simplifier::trimCaches()
+{
+    if (memo_.size() > kMaxMemoEntries)
+        memo_.clear();
+    if (pureAbs_.size() > kMaxFactEntries)
+        pureAbs_.clear();
 }
 
 ExprRef
@@ -252,6 +269,13 @@ Simplifier::Memo::insert(ExprRef e, uint64_t demanded, ExprRef out)
     if (s.e == nullptr)
         ++used_;
     s = Slot{e, demanded, out};
+}
+
+void
+Simplifier::Memo::clear()
+{
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    used_ = 0;
 }
 
 void

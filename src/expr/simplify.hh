@@ -43,11 +43,21 @@ struct SimplifyStats {
 
 /**
  * Bitfield simplifier. Stateless apart from its builder reference and
- * a memo table; reuse one instance across queries for memo hits.
+ * two memo tables; reuse one instance across queries for memo hits.
+ *
+ * Both tables are pure caches (a hit returns what a recomputation
+ * would), so a solver can keep one Simplifier for a whole run. Each is
+ * bounded: when a top-level call leaves one holding more than its
+ * kMax* entries, it is cleared wholesale. Clearing only between
+ * top-level calls keeps one call's DAG walk memoized throughout.
  */
 class Simplifier
 {
   public:
+    /** Caps on the (expr, demanded) memo and the abstract-value cache. */
+    static constexpr size_t kMaxMemoEntries = 1u << 16;
+    static constexpr size_t kMaxFactEntries = 1u << 16;
+
     explicit Simplifier(ExprBuilder &builder) : builder_(builder) {}
 
     /**
@@ -61,17 +71,19 @@ class Simplifier
      * bit of `demanded` under every assignment; bits outside the mask
      * are unspecified. Exposed for the property-equivalence suite.
      */
-    ExprRef
-    simplifyDemandedBits(ExprRef e, uint64_t demanded)
-    {
-        return simplifyDemanded(e, demanded);
-    }
+    ExprRef simplifyDemandedBits(ExprRef e, uint64_t demanded);
 
     const SimplifyStats &stats() const { return stats_; }
     void resetStats() { stats_ = SimplifyStats(); }
 
+    /** Entries in the memo and in the abstract-value cache. */
+    size_t memoSize() const { return memo_.size(); }
+    size_t factCacheSize() const { return pureAbs_.size(); }
+
   private:
     ExprRef simplifyDemanded(ExprRef e, uint64_t demanded);
+    /** Clear a table a top-level call left over its cap. */
+    void trimCaches();
 
     ExprBuilder &builder_;
     SimplifyStats stats_;
@@ -89,6 +101,9 @@ class Simplifier
         /** The result stored for (e, demanded), or nullptr. */
         ExprRef find(ExprRef e, uint64_t demanded) const;
         void insert(ExprRef e, uint64_t demanded, ExprRef out);
+        size_t size() const { return used_; }
+        /** Drop every entry (the slot array keeps its size). */
+        void clear();
 
       private:
         struct Slot {

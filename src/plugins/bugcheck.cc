@@ -43,19 +43,6 @@ BugCheck::record(ExecutionState &state, const std::string &kind,
     rec.kind = kind;
     rec.message = message;
     rec.pc = state.cpu.pc;
-    if (config_.computeInputs) {
-        expr::Assignment model;
-        auto out = engine_.solver().getInitialValues(state.constraints,
-                                                     &model);
-        if (out.isSat()) {
-            rec.inputs = std::move(model);
-            rec.inputsValid = true;
-        } else if (out.isUnknown()) {
-            // The crash is still reported, just without inputs.
-            engine_.noteSolverDegraded(state, "bugcheck_inputs",
-                                       out.timedOut);
-        }
-    }
     std::lock_guard<std::mutex> lock(mu_);
     crashes_.push_back(std::move(rec));
 }

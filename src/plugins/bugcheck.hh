@@ -3,7 +3,9 @@
  * BugCheck analyzer: the WinBugCheck equivalent (paper §4.1). Catches
  * guest kernel panics (execution reaching the kernel's panic routine),
  * guest crashes (faulting states) and bugs reported by other plugins,
- * collecting them into one report list with reproduction inputs.
+ * collecting them into one report list. A bug's reproduction inputs
+ * are its path's replay witness (EngineConfig::emitWitnesses): map
+ * CrashRecord::stateId to the state's pathId, then to the witness.
  */
 
 #ifndef S2E_PLUGINS_BUGCHECK_HH
@@ -11,21 +13,17 @@
 
 #include <mutex>
 
-#include "expr/eval.hh"
 #include "plugins/memchecker.hh"
 #include "plugins/plugin.hh"
 
 namespace s2e::plugins {
 
-/** A bug with the concrete inputs that reproduce it. */
+/** A bug and the path it happened on. */
 struct CrashRecord {
     int stateId;
     std::string kind;
     std::string message;
     uint32_t pc;
-    /** Satisfying assignment for the path (the test case). */
-    expr::Assignment inputs;
-    bool inputsValid = false;
 };
 
 class BugCheck : public Plugin
@@ -34,8 +32,6 @@ class BugCheck : public Plugin
     struct Config {
         /** pc of the guest kernel's panic routine (0 = none). */
         uint32_t panicPc = 0;
-        /** Generate concrete reproduction inputs for each bug. */
-        bool computeInputs = true;
     };
 
     explicit BugCheck(Engine &engine) : BugCheck(engine, Config()) {}

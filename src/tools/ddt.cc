@@ -107,10 +107,6 @@ Ddt::Ddt(DdtConfig config)
 
     plugins::BugCheck::Config bc;
     bc.panicPc = program_.symbol("kpanic");
-    // Replay is a solver-free oracle: crash reproduction inputs come
-    // from the witness itself, so the on-crash model query must stay
-    // off or the "zero solver queries" property breaks.
-    bc.computeInputs = !config_.replayWitness;
     bugCheck_ = std::make_unique<plugins::BugCheck>(*engine_, bc);
 
     coverage_ = std::make_unique<plugins::CoverageTracker>(

@@ -51,14 +51,15 @@ struct DdtConfig {
     /** Optional witness output directory (EngineConfig::witnessDir). */
     std::string witnessDir;
     /** Replay this witness concretely instead of exploring: the engine
-     *  goes solver-free and BugCheck input computation is disabled. */
+     *  goes solver-free, and the witness is the run's only input. */
     std::shared_ptr<const core::replay::Witness> replayWitness;
     /** Solver options passthrough (differential runs disable the model
      *  cache so serial and parallel witnesses match byte-for-byte). */
     solver::SolverOptions solverOptions;
 };
 
-/** One reproducible bug ("crash dump" + inputs, paper §6.1.1). */
+/** One reproducible bug (paper §6.1.1). With emitWitnesses, the
+ *  inputs that reproduce it are the witness of state stateId's path. */
 struct DdtBug {
     std::string kind;
     std::string message;

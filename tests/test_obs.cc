@@ -424,6 +424,32 @@ TEST(EngineProfile, SymbolicSpanOpensOncePerBlock)
     EXPECT_LE(report.phaseFractionSum(), 1.0);
 }
 
+TEST(RunReport, WitnessExtractionStaysOutOfWorkerPhases)
+{
+    // Witnesses are extracted on their own thread with its own
+    // profiler: the worker phase table still sums to at most one
+    // workers x wall, and the extractor reports its own slots.
+    for (unsigned workers : {1u, 4u}) {
+        core::EngineConfig config;
+        config.profileExecution = true;
+        config.emitWitnesses = true;
+        config.numWorkers = workers;
+        core::Engine engine(machineFor(kThreeBranches), config);
+        core::RunResult r = engine.run();
+        EXPECT_EQ(r.witnessesEmitted, 8u);
+
+        RunReport report("witness_run");
+        report.captureEngine(engine, r);
+        EXPECT_GT(report.phaseFractionSum(), 0.0) << workers;
+        EXPECT_LE(report.phaseFractionSum(), 1.0) << workers;
+        EXPECT_GE(engine.stats().get("engine.witness.backlog_peak"), 1u);
+        std::string json = report.toJson();
+        EXPECT_NE(json.find("engine.witness.extract_s"), std::string::npos);
+        EXPECT_NE(json.find("engine.witness.backlog_peak"),
+                  std::string::npos);
+    }
+}
+
 TEST(EngineProfile, ConcreteSliceOpensOneSpan)
 {
     // Eleven blocks, all concrete, in one 64-block timeslice.

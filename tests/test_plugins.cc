@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/engine.hh"
+#include "core/replay/replayer.hh"
 #include "guest/drivers.hh"
 #include "guest/kernel.hh"
 #include "plugins/annotation.hh"
@@ -336,7 +337,7 @@ TEST(PerfProfile, BestCaseSearchAbandonsWorsePaths)
 
 TEST(BugCheck, CollectsCrashWithInputs)
 {
-    Engine engine(machineFor(R"(
+    const char *source = R"(
         .entry main
     main:
         movi sp, 0x8000
@@ -347,17 +348,39 @@ TEST(BugCheck, CollectsCrashWithInputs)
         ldw r8, [r9]          ; out-of-bounds crash on the magic value
     fine:
         hlt
-    )"),
-                  EngineConfig{});
+    )";
+    EngineConfig config;
+    config.emitWitnesses = true;
+    Engine engine(machineFor(source), config);
     BugCheck bugcheck(engine);
     engine.run();
     ASSERT_GE(bugcheck.crashes().size(), 1u);
     const auto &crash = bugcheck.crashes()[0];
     EXPECT_EQ(crash.kind, "crash");
-    ASSERT_TRUE(crash.inputsValid);
+
+    // The reproduction input is the crashing path's witness.
+    std::string path;
+    for (const auto &s : engine.allStates())
+        if (s->id() == crash.stateId)
+            path = s->pathId();
+    std::shared_ptr<const core::replay::Witness> witness;
+    for (const auto &w : engine.witnesses())
+        if (w->pathId == path)
+            witness = w;
+    ASSERT_TRUE(witness) << "no witness for crashing path " << path;
     // The reproduction input must be the magic value.
-    ASSERT_EQ(crash.inputs.values().size(), 1u);
-    EXPECT_EQ(crash.inputs.values().begin()->second, 0x1234u);
+    ASSERT_EQ(witness->inputs.size(), 1u);
+    EXPECT_EQ(witness->inputs[0].value, 0x1234u);
+
+    // And it drives a solver-free replay to the crash.
+    core::replay::ReplayEngine replay(machineFor(source), EngineConfig{},
+                                      witness);
+    core::replay::ReplayResult verdict = replay.run();
+    EXPECT_TRUE(verdict.ok) << verdict.divergence;
+    EXPECT_EQ(verdict.solverQueries, 0u);
+    EXPECT_EQ(verdict.terminalStatus,
+              static_cast<uint8_t>(StateStatus::Crashed));
+    EXPECT_EQ(verdict.terminalPc, crash.pc);
 }
 
 TEST(MemChecker, DetectsOverflowThroughKernelHooks)

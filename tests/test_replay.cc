@@ -23,6 +23,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -30,7 +31,6 @@
 #include "core/replay/extract.hh"
 #include "core/replay/replayer.hh"
 #include "core/replay/witness.hh"
-#include "expr/vars.hh"
 #include "guest/drivers.hh"
 #include "guest/kernel.hh"
 #include "guest/layout.hh"
@@ -321,14 +321,15 @@ TEST(ReplayWitnessDifferential, DdtSolverDecisionsArePinned)
     // queries reach SAT, how many a cached model answers, how many
     // reuse a path context, and how many constraints slicing drops. A
     // change meant to alter only the cost of slicing, model probes or
-    // evaluation must leave every count here as it is.
+    // evaluation must leave every count here as it is. Only
+    // exploration queries count: reporting a bug queries nothing.
     tools::Ddt ddt(pcnetConfig());
     ddt.run();
     Stats &s = ddt.engine().solver().stats();
-    EXPECT_EQ(s.get("solver.queries"), 1617u);
-    EXPECT_EQ(s.get("solver.sat_queries"), 518u);
-    EXPECT_EQ(s.get("solver.ctx_reuses"), 263u);
-    EXPECT_EQ(s.get("solver.model_cache_hits"), 1099u);
+    EXPECT_EQ(s.get("solver.queries"), 1574u);
+    EXPECT_EQ(s.get("solver.sat_queries"), 480u);
+    EXPECT_EQ(s.get("solver.ctx_reuses"), 228u);
+    EXPECT_EQ(s.get("solver.model_cache_hits"), 1094u);
     EXPECT_EQ(s.get("solver.constraints_sliced_away"), 40851u);
 }
 
@@ -632,7 +633,6 @@ reextract(Engine &engine, replay::ComponentModels &models, bool clear_each)
     std::map<std::string, const ExecutionState *> by_path;
     for (const auto &s : engine.allStates())
         by_path[s->pathId()] = s.get();
-    expr::VarSets vars;
     replay::WitnessSolver ws(engine.builder(), engine.config().solverOptions,
                              nullptr);
     WitnessRun out;
@@ -645,7 +645,7 @@ reextract(Engine &engine, replay::ComponentModels &models, bool clear_each)
         if (clear_each)
             models.clear();
         replay::ExtractResult r = replay::extractWitness(
-            *it->second, engine.builder(), ws, models, vars);
+            *it->second, engine.builder(), ws, models);
         if (!r.witness) {
             ADD_FAILURE() << "path " << w->pathId << ": " << r.error;
             continue;
@@ -733,12 +733,96 @@ TEST(ReplayWitnessExtraction, FourWorkerWitnessesMatchFreshExtraction)
         replay::WitnessSolver ws(engine.builder(),
                                  engine.config().solverOptions, nullptr);
         replay::ComponentModels models;
-        expr::VarSets vars;
         replay::ExtractResult r = replay::extractWitness(
-            *it->second, engine.builder(), ws, models, vars);
+            *it->second, engine.builder(), ws, models);
         ASSERT_TRUE(r.witness) << "path " << path << ": " << r.error;
         EXPECT_TRUE(replay::serializeWitness(*r.witness) == img)
             << "witness for path " << path << " differs from a fresh one";
+    }
+}
+
+// --- The witness extraction thread -----------------------------------------
+
+/** Witness images of a 1-worker pcnet run in witnesses() order, and
+ *  the witnessed paths in the order their kill events fired. */
+struct OrderedRun {
+    std::vector<std::vector<uint8_t>> images;
+    std::vector<std::string> witnessOrder;
+    std::vector<std::string> killOrder;
+};
+
+OrderedRun
+runPcnetOrdered()
+{
+    tools::Ddt ddt(pcnetConfig());
+    OrderedRun out;
+    std::vector<std::string> kills; // one worker: fired in retirement order
+    ddt.engine().events().onStateKill.subscribe(
+        [&kills](ExecutionState &s) { kills.push_back(s.pathId()); });
+    ddt.run();
+    std::set<std::string> witnessed;
+    for (const auto &w : ddt.engine().witnesses()) {
+        out.images.push_back(replay::serializeWitness(*w));
+        out.witnessOrder.push_back(w->pathId);
+        witnessed.insert(w->pathId);
+    }
+    for (const std::string &path : kills)
+        if (witnessed.count(path))
+            out.killOrder.push_back(path);
+    return out;
+}
+
+TEST(ReplayWitnessExtraction, OneWorkerWitnessesKeepRetirementOrder)
+{
+    // The extraction thread and the worker's drain finish jobs in any
+    // order; each witness still lands in the slot its path took when
+    // it retired.
+    OrderedRun first = runPcnetOrdered();
+    ASSERT_EQ(first.images.size(), 256u);
+    EXPECT_EQ(first.witnessOrder, first.killOrder);
+    OrderedRun second = runPcnetOrdered();
+    EXPECT_EQ(second.witnessOrder, first.witnessOrder);
+    EXPECT_TRUE(second.images == first.images)
+        << "back-to-back 1-worker runs gave different ordered witnesses";
+}
+
+TEST(ReplayWitnessExtraction, RunReturnsWithEveryWitnessDone)
+{
+    for (unsigned workers : {1u, 4u}) {
+        tools::DdtConfig config = pcnetConfig();
+        config.numWorkers = workers;
+        tools::Ddt ddt(config);
+        RunResult run = ddt.run().run;
+        Engine &engine = ddt.engine();
+        // Every state was released, and every queued job finished:
+        // a job still running would be missing from both sums.
+        EXPECT_EQ(run.witnessesEmitted + run.witnessExtractFailures +
+                      run.witnessesSkipped,
+                  engine.allStates().size())
+            << workers << " workers";
+        EXPECT_EQ(run.witnessesEmitted, engine.witnesses().size())
+            << workers << " workers";
+        EXPECT_EQ(run.witnessExtractFailures, 0u) << workers << " workers";
+        EXPECT_GE(engine.stats().get("engine.witness.backlog_peak"), 1u)
+            << workers << " workers";
+    }
+}
+
+TEST(ReplayWitnessExtraction, EnginesShutDownCleanlyAroundTheExtractor)
+{
+    // Destroyed right after run(): no extraction may outlive it (the
+    // sanitizer gates catch a job reading a freed state).
+    {
+        tools::Ddt ddt(pcnetConfig());
+        ddt.run();
+        EXPECT_EQ(ddt.engine().witnesses().size(), 256u);
+    }
+    // Destroyed without ever running: no thread was started.
+    {
+        tools::Ddt ddt(pcnetConfig());
+        EXPECT_TRUE(ddt.engine().witnesses().empty());
+        EXPECT_EQ(ddt.engine().stats().get("engine.witness.backlog_peak"),
+                  0u);
     }
 }
 
@@ -771,10 +855,9 @@ TEST(ReplayWitnessExtraction, PathModelIsTheUnionOfComponentModels)
     auto first =
         stateWith({"a", "b", "c"}, {x_small, a_is_1, x_odd, c_is_3});
     replay::ComponentModels models;
-    expr::VarSets vars;
     replay::WitnessSolver ws(b, solver::SolverOptions{}, nullptr);
     replay::ExtractResult r =
-        replay::extractWitness(*first, b, ws, models, vars);
+        replay::extractWitness(*first, b, ws, models);
     ASSERT_TRUE(r.witness) << r.error;
     EXPECT_EQ(r.componentSolves, 3u);
     EXPECT_EQ(r.componentHits, 0u);
@@ -788,7 +871,7 @@ TEST(ReplayWitnessExtraction, PathModelIsTheUnionOfComponentModels)
     // Another path with the same {b} component sequence reuses it.
     ExprRef a_is_2 = b.eq(a, b.constant(2, 32));
     auto second = stateWith({"a", "b"}, {a_is_2, x_small, x_odd});
-    r = replay::extractWitness(*second, b, ws, models, vars);
+    r = replay::extractWitness(*second, b, ws, models);
     ASSERT_TRUE(r.witness) << r.error;
     EXPECT_EQ(r.componentSolves, 1u);
     EXPECT_EQ(r.componentHits, 1u);
@@ -807,10 +890,9 @@ TEST(ReplayWitnessExtraction, UnsatComponentFailsAndIsNotCached)
     // Components {a}, {b: x < 5 and x > 10, Unsat} and {c}.
     auto state = stateWith({"a", "b", "c"}, {a_is_1, x_lo, c_is_3, x_hi});
     replay::ComponentModels models;
-    expr::VarSets vars;
     replay::WitnessSolver ws(b, solver::SolverOptions{}, nullptr);
     replay::ExtractResult r =
-        replay::extractWitness(*state, b, ws, models, vars);
+        replay::extractWitness(*state, b, ws, models);
     EXPECT_FALSE(r.witness);
     EXPECT_EQ(r.error, "path constraints unsatisfiable");
     EXPECT_EQ(r.componentSolves, 2u); // {a}, then {b} fails
@@ -820,7 +902,7 @@ TEST(ReplayWitnessExtraction, UnsatComponentFailsAndIsNotCached)
     EXPECT_FALSE(models.lookup({x_lo, x_hi}, probe));
 
     // A retry is served {a} and solves the Unsat component again.
-    r = replay::extractWitness(*state, b, ws, models, vars);
+    r = replay::extractWitness(*state, b, ws, models);
     EXPECT_EQ(r.error, "path constraints unsatisfiable");
     EXPECT_EQ(r.componentHits, 1u);
     EXPECT_EQ(r.componentSolves, 1u);
@@ -836,10 +918,9 @@ TEST(ReplayWitnessExtraction, UnloggedVariableInLaterComponentFails)
                                         b.eq(c, b.constant(3, 32)),
                                         b.eq(x, b.constant(2, 32))});
     replay::ComponentModels models;
-    expr::VarSets vars;
     replay::WitnessSolver ws(b, solver::SolverOptions{}, nullptr);
     replay::ExtractResult r =
-        replay::extractWitness(*state, b, ws, models, vars);
+        replay::extractWitness(*state, b, ws, models);
     EXPECT_FALSE(r.witness);
     EXPECT_EQ(r.error,
               "constraint variable 'b' missing from nondeterminism log");

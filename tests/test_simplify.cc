@@ -339,5 +339,33 @@ TEST_F(SimplifyTest, ReducesNodeCountOnFlagPatterns)
     EXPECT_LE(s->nodeCount(), test->nodeCount());
 }
 
+TEST_F(SimplifyTest, LongStreamKeepsCachesBoundedAndResultsExact)
+{
+    // Distinct expressions, enough to pass both caps several times:
+    // each call adds memo and abstract-value entries for new nodes.
+    ExprRef x = b.var("x", 32);
+    ExprRef y = b.var("y", 32);
+    constexpr uint32_t kExprs = 3 * Simplifier::kMaxMemoEntries / 4;
+    size_t memo_clears = 0, fact_clears = 0;
+    size_t last_memo = 0, last_facts = 0;
+    for (uint32_t i = 0; i < kExprs; ++i) {
+        ExprRef e = b.bAnd(b.bOr(b.add(x, b.constant(i, 32)),
+                                 b.shl(y, b.constant(i % 31, 32))),
+                           b.constant(0xFFFF, 32));
+        ExprRef out = simp.simplify(e);
+        ASSERT_LE(simp.memoSize(), Simplifier::kMaxMemoEntries) << i;
+        ASSERT_LE(simp.factCacheSize(), Simplifier::kMaxFactEntries) << i;
+        memo_clears += simp.memoSize() < last_memo;
+        fact_clears += simp.factCacheSize() < last_facts;
+        last_memo = simp.memoSize();
+        last_facts = simp.factCacheSize();
+        // A cleared cache never changes an answer.
+        Simplifier fresh(b);
+        ASSERT_EQ(out, fresh.simplify(e)) << i;
+    }
+    EXPECT_GE(memo_clears, 1u);
+    EXPECT_GE(fact_clears, 1u);
+}
+
 } // namespace
 } // namespace s2e::expr

@@ -31,7 +31,11 @@
 #                                tests all carry the tsan label; the
 #                                parallel suite's counting Searcher
 #                                catches any call that escapes the
-#                                engine's Searcher mutex)
+#                                engine's Searcher mutex), plus
+#                                `ctest -L lifecycle` and `ctest -L
+#                                replay` there: every witness-recording
+#                                run has a second thread (the witness
+#                                extractor) even at one worker
 #   4. a Release build          — the library targets built at
 #                                -DCMAKE_BUILD_TYPE=Release (-O3) with
 #                                -Werror under build-release/: GCC's
@@ -112,6 +116,7 @@ cmake --build "$tsan_dir" -j "$jobs" \
     --target $check_targets || exit 1
 (cd "$tsan_dir" && ctest -L tsan --output-on-failure) || status=1
 (cd "$tsan_dir" && ctest -L lifecycle --output-on-failure) || status=1
+(cd "$tsan_dir" && ctest -L replay --output-on-failure) || status=1
 
 echo "== run_checks: Release warning gate ($release_dir) =="
 if [ ! -f "$release_dir/CMakeCache.txt" ]; then
