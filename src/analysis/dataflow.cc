@@ -2,7 +2,7 @@
 
 #include <cstdint>
 
-#include "support/logging.hh"
+#include "dbt/semantics.hh"
 
 namespace s2e::analysis {
 
@@ -32,6 +32,12 @@ OpEffects
 effectsOf(const MicroOp &op)
 {
     OpEffects e;
+    if (dbt::isAluUnary(op.op) || dbt::isAluBinary(op.op)) {
+        e.usesA = true;
+        e.usesB = dbt::isAluBinary(op.op);
+        e.defsTemp = true;
+        return e;
+    }
     switch (op.op) {
       case UOp::Const:
         e.defsTemp = true;
@@ -50,33 +56,6 @@ effectsOf(const MicroOp &op)
       case UOp::SetFlag:
         e.usesA = true;
         e.writesFlag = op.reg;
-        break;
-
-      case UOp::Not:
-      case UOp::Neg:
-        e.usesA = true;
-        e.defsTemp = true;
-        break;
-
-      case UOp::Add:
-      case UOp::Sub:
-      case UOp::Mul:
-      case UOp::UDiv:
-      case UOp::SDiv:
-      case UOp::URem:
-      case UOp::SRem:
-      case UOp::And:
-      case UOp::Or:
-      case UOp::Xor:
-      case UOp::Shl:
-      case UOp::Shr:
-      case UOp::Sar:
-      case UOp::CmpEq:
-      case UOp::CmpUlt:
-      case UOp::CmpSlt:
-        e.usesA = true;
-        e.usesB = true;
-        e.defsTemp = true;
         break;
 
       case UOp::Load:
@@ -137,6 +116,9 @@ effectsOf(const MicroOp &op)
             break;
         }
         break;
+
+      default:
+        break; // ALU ops, handled above
     }
     return e;
 }
@@ -206,63 +188,6 @@ computeLiveness(const TranslationBlock &tb)
     return lv;
 }
 
-uint32_t
-foldBinary(UOp op, uint32_t a, uint32_t b)
-{
-    switch (op) {
-      case UOp::Add: return a + b;
-      case UOp::Sub: return a - b;
-      case UOp::Mul: return a * b;
-      case UOp::UDiv: return b ? a / b : 0xFFFFFFFFu;
-      case UOp::SDiv: {
-        auto sa = static_cast<int32_t>(a);
-        auto sb = static_cast<int32_t>(b);
-        if (sb == 0)
-            return 0xFFFFFFFFu;
-        if (sb == -1 && sa == INT32_MIN)
-            return a;
-        return static_cast<uint32_t>(sa / sb);
-      }
-      case UOp::URem: return b ? a % b : a;
-      case UOp::SRem: {
-        auto sa = static_cast<int32_t>(a);
-        auto sb = static_cast<int32_t>(b);
-        if (sb == 0)
-            return a;
-        if (sb == -1)
-            return 0;
-        return static_cast<uint32_t>(sa % sb);
-      }
-      case UOp::And: return a & b;
-      case UOp::Or: return a | b;
-      case UOp::Xor: return a ^ b;
-      case UOp::Shl: return b >= 32 ? 0 : a << b;
-      case UOp::Shr: return b >= 32 ? 0 : a >> b;
-      case UOp::Sar: {
-        auto sa = static_cast<int32_t>(a);
-        return static_cast<uint32_t>(b >= 32 ? (sa < 0 ? -1 : 0)
-                                             : (sa >> b));
-      }
-      case UOp::CmpEq: return a == b;
-      case UOp::CmpUlt: return a < b;
-      case UOp::CmpSlt:
-        return static_cast<int32_t>(a) < static_cast<int32_t>(b);
-      default:
-        panic("foldBinary: bad uop");
-    }
-}
-
-uint32_t
-foldUnary(UOp op, uint32_t a)
-{
-    switch (op) {
-      case UOp::Not: return ~a;
-      case UOp::Neg: return 0 - a;
-      default:
-        panic("foldUnary: bad uop");
-    }
-}
-
 Constants
 computeConstants(const TranslationBlock &tb)
 {
@@ -280,6 +205,15 @@ computeConstants(const TranslationBlock &tb)
     for (size_t i = 0; i < tb.ops.size(); ++i) {
         const MicroOp &op = tb.ops[i];
         std::optional<uint32_t> value;
+        if (dbt::isAluUnary(op.op)) {
+            if (auto a = temp_of(op.a))
+                value = dbt::evalUnary(op.op, *a);
+        } else if (dbt::isAluBinary(op.op)) {
+            auto a = temp_of(op.a);
+            auto b = temp_of(op.b);
+            if (a && b)
+                value = dbt::evalBinary(op.op, *a, *b);
+        }
         switch (op.op) {
           case UOp::Const:
             value = op.imm;
@@ -301,35 +235,6 @@ computeConstants(const TranslationBlock &tb)
                 flag[op.reg] = temp_of(op.a);
             break;
 
-          case UOp::Not:
-          case UOp::Neg:
-            if (auto a = temp_of(op.a))
-                value = foldUnary(op.op, *a);
-            break;
-
-          case UOp::Add:
-          case UOp::Sub:
-          case UOp::Mul:
-          case UOp::UDiv:
-          case UOp::SDiv:
-          case UOp::URem:
-          case UOp::SRem:
-          case UOp::And:
-          case UOp::Or:
-          case UOp::Xor:
-          case UOp::Shl:
-          case UOp::Shr:
-          case UOp::Sar:
-          case UOp::CmpEq:
-          case UOp::CmpUlt:
-          case UOp::CmpSlt: {
-            auto a = temp_of(op.a);
-            auto b = temp_of(op.b);
-            if (a && b)
-                value = foldBinary(op.op, *a, *b);
-            break;
-          }
-
           case UOp::Load:
           case UOp::In:
             break; // result unknowable statically
@@ -349,7 +254,8 @@ computeConstants(const TranslationBlock &tb)
             break;
 
           default:
-            break; // other terminators, Store, Out: no temp result
+            break; // ALU ops (above); other terminators, Store, Out:
+                   // no temp result
         }
 
         OpEffects e = effectsOf(op);

@@ -97,13 +97,6 @@ struct Constants {
 
 Constants computeConstants(const dbt::TranslationBlock &tb);
 
-/** Concrete semantics of a pure binary op — identical to the
- *  engine's and the fast executor's concrete paths. */
-uint32_t foldBinary(dbt::UOp op, uint32_t a, uint32_t b);
-
-/** Concrete semantics of Not/Neg. */
-uint32_t foldUnary(dbt::UOp op, uint32_t a);
-
 } // namespace s2e::analysis
 
 #endif // S2E_ANALYSIS_DATAFLOW_HH

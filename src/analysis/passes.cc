@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "analysis/dataflow.hh"
+#include "dbt/semantics.hh"
 
 namespace s2e::analysis {
 
@@ -63,37 +64,14 @@ constantFold(TranslationBlock &tb, PassStats *stats)
             continue;
         // Only pure producers may be replaced; Load/In keep their
         // side effects even when their result were predictable.
-        switch (op.op) {
-          case UOp::GetReg:
-          case UOp::GetFlag:
-          case UOp::Not:
-          case UOp::Neg:
-          case UOp::Add:
-          case UOp::Sub:
-          case UOp::Mul:
-          case UOp::UDiv:
-          case UOp::SDiv:
-          case UOp::URem:
-          case UOp::SRem:
-          case UOp::And:
-          case UOp::Or:
-          case UOp::Xor:
-          case UOp::Shl:
-          case UOp::Shr:
-          case UOp::Sar:
-          case UOp::CmpEq:
-          case UOp::CmpUlt:
-          case UOp::CmpSlt: {
+        if (op.op == UOp::GetReg || op.op == UOp::GetFlag ||
+            dbt::isAluUnary(op.op) || dbt::isAluBinary(op.op)) {
             MicroOp c;
             c.op = UOp::Const;
             c.dst = op.dst;
             c.imm = *consts.result[i];
             op = c;
             folded++;
-            break;
-          }
-          default:
-            break;
         }
     }
     if (stats)

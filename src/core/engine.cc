@@ -15,6 +15,7 @@
 #include "core/lifecycle/serializer.hh"
 #include "core/replay/extract.hh"
 #include "core/replay/replayer.hh"
+#include "dbt/semantics.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
 
@@ -82,56 +83,10 @@ class DfsSearcher : public Searcher
     }
 };
 
-/** Concrete fast-path semantics, shared with the vanilla executor. */
-uint32_t
-concreteBinary(UOp op, uint32_t a, uint32_t b)
-{
-    switch (op) {
-      case UOp::Add: return a + b;
-      case UOp::Sub: return a - b;
-      case UOp::Mul: return a * b;
-      case UOp::UDiv: return b ? a / b : 0xFFFFFFFFu;
-      case UOp::SDiv: {
-        int32_t sa = static_cast<int32_t>(a);
-        int32_t sb = static_cast<int32_t>(b);
-        if (sb == 0)
-            return 0xFFFFFFFFu;
-        if (sb == -1 && sa == INT32_MIN)
-            return a;
-        return static_cast<uint32_t>(sa / sb);
-      }
-      case UOp::URem: return b ? a % b : a;
-      case UOp::SRem: {
-        int32_t sa = static_cast<int32_t>(a);
-        int32_t sb = static_cast<int32_t>(b);
-        if (sb == 0)
-            return a;
-        if (sb == -1)
-            return 0;
-        return static_cast<uint32_t>(sa % sb);
-      }
-      case UOp::And: return a & b;
-      case UOp::Or: return a | b;
-      case UOp::Xor: return a ^ b;
-      case UOp::Shl: return b >= 32 ? 0 : a << b;
-      case UOp::Shr: return b >= 32 ? 0 : a >> b;
-      case UOp::Sar: {
-        int32_t sa = static_cast<int32_t>(a);
-        return static_cast<uint32_t>(b >= 32 ? (sa < 0 ? -1 : 0)
-                                             : (sa >> b));
-      }
-      case UOp::CmpEq: return a == b;
-      case UOp::CmpUlt: return a < b;
-      case UOp::CmpSlt:
-        return static_cast<int32_t>(a) < static_cast<int32_t>(b);
-      default:
-        panic("concreteBinary: bad uop");
-    }
-}
+} // namespace
 
-/** Symbolic lowering for the same binary micro-ops. */
 ExprRef
-symbolicBinary(UOp op, ExprRef a, ExprRef b, ExprBuilder &bld)
+lowerAlu(UOp op, ExprRef a, ExprRef b, ExprBuilder &bld)
 {
     switch (op) {
       case UOp::Add: return bld.add(a, b);
@@ -147,15 +102,16 @@ symbolicBinary(UOp op, ExprRef a, ExprRef b, ExprBuilder &bld)
       case UOp::Shl: return bld.shl(a, b);
       case UOp::Shr: return bld.lshr(a, b);
       case UOp::Sar: return bld.ashr(a, b);
+      case UOp::Not: return bld.bNot(a);
+      case UOp::Neg: return bld.neg(a);
       case UOp::CmpEq: return bld.zext(bld.eq(a, b), 32);
       case UOp::CmpUlt: return bld.zext(bld.ult(a, b), 32);
       case UOp::CmpSlt: return bld.zext(bld.slt(a, b), 32);
       default:
-        panic("symbolicBinary: bad uop");
+        panic("lowerAlu: uop %u is not an ALU op",
+              static_cast<unsigned>(op));
     }
 }
-
-} // namespace
 
 Engine::Engine(vm::MachineConfig machine, EngineConfig config)
     : machine_(std::move(machine)), config_(config),
@@ -1447,52 +1403,33 @@ Engine::executeBlock(ExecutionState &state)
             state.cpu.flags[op.reg] = temps[op.a];
             break;
 
-          case UOp::Not:
-          case UOp::Neg: {
+          S2E_ALU_UNARY_UOPS(S2E_UOP_CASE) {
             const Value &a = temps[op.a];
             if (a.isConcrete()) {
-                temps[op.dst] = Value(op.op == UOp::Not ? ~a.concrete()
-                                                        : 0 - a.concrete());
+                temps[op.dst] = Value(dbt::evalUnary(op.op, a.concrete()));
             } else {
                 if (!sym)
                     sym.emplace(curProfiler(), obs::Phase::SymbolicExec);
                 state.symInstrCount++;
-                temps[op.dst] = Value(op.op == UOp::Not
-                                          ? builder_.bNot(a.expr())
-                                          : builder_.neg(a.expr()));
+                temps[op.dst] =
+                    Value(lowerAlu(op.op, a.expr(), nullptr, builder_));
             }
             break;
           }
 
-          case UOp::Add:
-          case UOp::Sub:
-          case UOp::Mul:
-          case UOp::UDiv:
-          case UOp::SDiv:
-          case UOp::URem:
-          case UOp::SRem:
-          case UOp::And:
-          case UOp::Or:
-          case UOp::Xor:
-          case UOp::Shl:
-          case UOp::Shr:
-          case UOp::Sar:
-          case UOp::CmpEq:
-          case UOp::CmpUlt:
-          case UOp::CmpSlt: {
+          S2E_ALU_BINARY_UOPS(S2E_UOP_CASE) {
             const Value &a = temps[op.a];
             const Value &b = temps[op.b];
             if (a.isConcrete() && b.isConcrete()) {
-                temps[op.dst] =
-                    Value(concreteBinary(op.op, a.concrete(),
-                                         b.concrete()));
+                temps[op.dst] = Value(
+                    dbt::evalBinary(op.op, a.concrete(), b.concrete()));
             } else {
                 if (!sym)
                     sym.emplace(curProfiler(), obs::Phase::SymbolicExec);
                 state.symInstrCount++;
-                temps[op.dst] = Value(symbolicBinary(
-                    op.op, a.toExpr(builder_), b.toExpr(builder_),
-                    builder_));
+                temps[op.dst] = Value(lowerAlu(op.op, a.toExpr(builder_),
+                                               b.toExpr(builder_),
+                                               builder_));
             }
             break;
           }

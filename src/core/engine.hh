@@ -97,9 +97,15 @@ struct EngineConfig {
      * profiler, and asks the Searcher which state of its shard runs
      * next; a worker with an empty shard steals the oldest state of
      * another. Worker 0 is the thread that calls run(), so 1 (the
-     * default) starts no thread. Path *results* are identical at every
-     * count (see tests/test_parallel.cc); only scheduling order
-     * differs.
+     * default) starts no thread. A run that explores to exhaustion
+     * gives identical path results at every count (see
+     * tests/test_parallel.cc), and a 1-worker run is deterministic
+     * under its state and instruction budgets too. Above 1 worker a
+     * budgeted run depends on the schedule: which states
+     * maxStatesCreated admits, where maxInstructions cuts, and what
+     * each shard's Searcher picks, so two runs can reach different
+     * paths and bugs. maxWallSeconds is schedule-dependent at every
+     * count.
      */
     unsigned numWorkers = 1;
 
@@ -225,6 +231,14 @@ struct RunResult {
      *  utilization. */
     std::vector<double> workerBusySeconds;
 };
+
+/**
+ * Symbolic lowering of the ALU micro-ops (those dbt::isAluBinary or
+ * dbt::isAluUnary accepts) onto the builder; @p b is ignored for Not
+ * and Neg. Comparisons give 0/1 zero-extended to 32 bits. On constant
+ * operands the builder folds it to dbt::evalBinary / dbt::evalUnary.
+ */
+ExprRef lowerAlu(dbt::UOp op, ExprRef a, ExprRef b, ExprBuilder &bld);
 
 /**
  * The platform core. Owns the expression builder, the solver, the

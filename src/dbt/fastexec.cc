@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "dbt/semantics.hh"
 #include "support/bitops.hh"
 #include "support/logging.hh"
 
@@ -35,6 +36,12 @@ fastRun(FastMachine &m, uint64_t max_instructions, TbCache *cache,
         return true;
     };
 
+    // Wrap-safe: addr + len may overflow 32 bits near 2^32.
+    // Out-of-range loads read 0 and out-of-range stores are dropped.
+    auto in_bounds = [&m](uint32_t addr, unsigned len) {
+        return addr < m.mem.size() && m.mem.size() - addr >= len;
+    };
+
     FastRunResult result;
     std::vector<uint32_t> temps;
 
@@ -61,92 +68,28 @@ fastRun(FastMachine &m, uint64_t max_instructions, TbCache *cache,
 
         for (const MicroOp &op : tb->ops) {
             switch (op.op) {
+#define S2E_BINARY_CASE(name)                                            \
+              case UOp::name:                                            \
+                temps[op.dst] =                                          \
+                    evalBinary(UOp::name, temps[op.a], temps[op.b]);     \
+                break;
+#define S2E_UNARY_CASE(name)                                             \
+              case UOp::name:                                            \
+                temps[op.dst] = evalUnary(UOp::name, temps[op.a]);       \
+                break;
+              S2E_ALU_BINARY_UOPS(S2E_BINARY_CASE)
+              S2E_ALU_UNARY_UOPS(S2E_UNARY_CASE)
+#undef S2E_BINARY_CASE
+#undef S2E_UNARY_CASE
               case UOp::Const: temps[op.dst] = op.imm; break;
               case UOp::GetReg: temps[op.dst] = m.regs[op.reg]; break;
               case UOp::SetReg: m.regs[op.reg] = temps[op.a]; break;
               case UOp::GetFlag: temps[op.dst] = m.flags[op.reg]; break;
               case UOp::SetFlag: m.flags[op.reg] = temps[op.a]; break;
-              case UOp::Add:
-                temps[op.dst] = temps[op.a] + temps[op.b];
-                break;
-              case UOp::Sub:
-                temps[op.dst] = temps[op.a] - temps[op.b];
-                break;
-              case UOp::Mul:
-                temps[op.dst] = temps[op.a] * temps[op.b];
-                break;
-              case UOp::UDiv:
-                temps[op.dst] = temps[op.b] ? temps[op.a] / temps[op.b]
-                                            : 0xFFFFFFFFu;
-                break;
-              case UOp::SDiv: {
-                int32_t a = static_cast<int32_t>(temps[op.a]);
-                int32_t b = static_cast<int32_t>(temps[op.b]);
-                if (b == 0)
-                    temps[op.dst] = 0xFFFFFFFFu;
-                else if (b == -1 && a == INT32_MIN)
-                    temps[op.dst] = static_cast<uint32_t>(a);
-                else
-                    temps[op.dst] = static_cast<uint32_t>(a / b);
-                break;
-              }
-              case UOp::URem:
-                temps[op.dst] = temps[op.b] ? temps[op.a] % temps[op.b]
-                                            : temps[op.a];
-                break;
-              case UOp::SRem: {
-                int32_t a = static_cast<int32_t>(temps[op.a]);
-                int32_t b = static_cast<int32_t>(temps[op.b]);
-                if (b == 0)
-                    temps[op.dst] = temps[op.a];
-                else if (b == -1)
-                    temps[op.dst] = 0;
-                else
-                    temps[op.dst] = static_cast<uint32_t>(a % b);
-                break;
-              }
-              case UOp::And:
-                temps[op.dst] = temps[op.a] & temps[op.b];
-                break;
-              case UOp::Or:
-                temps[op.dst] = temps[op.a] | temps[op.b];
-                break;
-              case UOp::Xor:
-                temps[op.dst] = temps[op.a] ^ temps[op.b];
-                break;
-              case UOp::Shl:
-                temps[op.dst] = temps[op.b] >= 32
-                                    ? 0
-                                    : temps[op.a] << temps[op.b];
-                break;
-              case UOp::Shr:
-                temps[op.dst] = temps[op.b] >= 32
-                                    ? 0
-                                    : temps[op.a] >> temps[op.b];
-                break;
-              case UOp::Sar: {
-                uint32_t s = temps[op.b];
-                int32_t a = static_cast<int32_t>(temps[op.a]);
-                temps[op.dst] = static_cast<uint32_t>(
-                    s >= 32 ? (a < 0 ? -1 : 0) : (a >> s));
-                break;
-              }
-              case UOp::Not: temps[op.dst] = ~temps[op.a]; break;
-              case UOp::Neg: temps[op.dst] = 0 - temps[op.a]; break;
-              case UOp::CmpEq:
-                temps[op.dst] = temps[op.a] == temps[op.b];
-                break;
-              case UOp::CmpUlt:
-                temps[op.dst] = temps[op.a] < temps[op.b];
-                break;
-              case UOp::CmpSlt:
-                temps[op.dst] = static_cast<int32_t>(temps[op.a]) <
-                                static_cast<int32_t>(temps[op.b]);
-                break;
               case UOp::Load: {
                 uint32_t addr = temps[op.a] + op.imm;
                 uint32_t v = 0;
-                if (addr + op.size <= m.mem.size()) {
+                if (in_bounds(addr, op.size)) {
                     for (unsigned i = 0; i < op.size; ++i)
                         v |= static_cast<uint32_t>(m.mem[addr + i])
                              << (8 * i);
@@ -159,7 +102,7 @@ fastRun(FastMachine &m, uint64_t max_instructions, TbCache *cache,
               }
               case UOp::Store: {
                 uint32_t addr = temps[op.a] + op.imm;
-                if (addr + op.size <= m.mem.size()) {
+                if (in_bounds(addr, op.size)) {
                     uint32_t v = temps[op.b];
                     for (unsigned i = 0; i < op.size; ++i)
                         m.mem[addr + i] = (v >> (8 * i)) & 0xFF;
@@ -195,8 +138,11 @@ fastRun(FastMachine &m, uint64_t max_instructions, TbCache *cache,
                 break;
         }
 
-        m.pc = next_pc;
-        if (result.halted || leave) {
+        // A halted machine keeps the pc of the block that halted, as
+        // the engine's halted states (and their witnesses) do.
+        if (!result.halted)
+            m.pc = next_pc;
+        if (leave) {
             result.finalPc = m.pc;
             return result;
         }

@@ -46,7 +46,9 @@ class FastMachine
 /**
  * Run until Halt, an out-of-range pc, or the instruction budget is
  * exhausted. Port I/O reads as 0 and writes are ignored; software
- * interrupts halt (the fast machine models no kernel).
+ * interrupts halt (the fast machine models no kernel). A load outside
+ * RAM reads 0 and a store outside RAM is dropped. After a halt, pc is
+ * the start of the block that halted.
  */
 FastRunResult fastRun(FastMachine &machine, uint64_t maxInstructions,
                       TbCache *cache = nullptr,

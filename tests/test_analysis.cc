@@ -17,6 +17,7 @@
 #include "analysis/verifier.hh"
 #include "core/engine.hh"
 #include "dbt/fastexec.hh"
+#include "dbt/semantics.hh"
 #include "guest/drivers.hh"
 #include "guest/kernel.hh"
 #include "guest/layout.hh"
@@ -367,18 +368,18 @@ TEST(Dataflow, FoldBinaryMatchesInterpreterEdgeCases)
 {
     // The documented gisa edge cases: division by zero, INT_MIN/-1,
     // shift counts >= 32.
-    EXPECT_EQ(foldBinary(UOp::UDiv, 5, 0), 0xFFFFFFFFu);
-    EXPECT_EQ(foldBinary(UOp::SDiv, 5, 0), 0xFFFFFFFFu);
-    EXPECT_EQ(foldBinary(UOp::SDiv, 0x80000000u, 0xFFFFFFFFu),
+    EXPECT_EQ(dbt::evalBinary(UOp::UDiv, 5, 0), 0xFFFFFFFFu);
+    EXPECT_EQ(dbt::evalBinary(UOp::SDiv, 5, 0), 0xFFFFFFFFu);
+    EXPECT_EQ(dbt::evalBinary(UOp::SDiv, 0x80000000u, 0xFFFFFFFFu),
               0x80000000u);
-    EXPECT_EQ(foldBinary(UOp::URem, 5, 0), 5u);
-    EXPECT_EQ(foldBinary(UOp::SRem, 5, 0), 5u);
-    EXPECT_EQ(foldBinary(UOp::SRem, 5, 0xFFFFFFFFu), 0u);
-    EXPECT_EQ(foldBinary(UOp::Shl, 1, 32), 0u);
-    EXPECT_EQ(foldBinary(UOp::Shr, 0x80000000u, 32), 0u);
-    EXPECT_EQ(foldBinary(UOp::Sar, 0x80000000u, 32), 0xFFFFFFFFu);
-    EXPECT_EQ(foldBinary(UOp::Sar, 0x40000000u, 32), 0u);
-    EXPECT_EQ(foldBinary(UOp::CmpSlt, 0xFFFFFFFFu, 0), 1u);
+    EXPECT_EQ(dbt::evalBinary(UOp::URem, 5, 0), 5u);
+    EXPECT_EQ(dbt::evalBinary(UOp::SRem, 5, 0), 5u);
+    EXPECT_EQ(dbt::evalBinary(UOp::SRem, 5, 0xFFFFFFFFu), 0u);
+    EXPECT_EQ(dbt::evalBinary(UOp::Shl, 1, 32), 0u);
+    EXPECT_EQ(dbt::evalBinary(UOp::Shr, 0x80000000u, 32), 0u);
+    EXPECT_EQ(dbt::evalBinary(UOp::Sar, 0x80000000u, 32), 0xFFFFFFFFu);
+    EXPECT_EQ(dbt::evalBinary(UOp::Sar, 0x40000000u, 32), 0u);
+    EXPECT_EQ(dbt::evalBinary(UOp::CmpSlt, 0xFFFFFFFFu, 0), 1u);
 }
 
 // --- Passes ----------------------------------------------------------------
@@ -526,12 +527,19 @@ TEST(Passes, InstrPcForOpBinarySearchMatchesLinearReference)
 
 // --- Differential: fastexec ------------------------------------------------
 
-/** Run a program twice (optimized / naive) and require identical
- *  architectural results. */
+/**
+ * Run a program through the vanilla executor twice (optimized /
+ * naive) and through a 1-worker Engine with no symbolic input, TB
+ * optimization on and off; all four must agree on the instruction
+ * count, final pc, registers, flags and RAM. Programs here must stay
+ * inside what the vanilla machine models: no port I/O, no interrupts.
+ */
 void
 expectFastEquivalence(const std::string &source)
 {
-    dbt::FastMachine opt(64 * 1024), naive(64 * 1024);
+    constexpr uint32_t kRam = 64 * 1024;
+    constexpr uint64_t kBudget = 1'000'000;
+    dbt::FastMachine opt(kRam), naive(kRam);
     isa::Program prog = isa::assemble(source);
     opt.load(prog);
     naive.load(prog);
@@ -540,8 +548,8 @@ expectFastEquivalence(const std::string &source)
     on.verify = true;
     off.optimize = false;
     off.verify = true;
-    dbt::FastRunResult ro = dbt::fastRun(opt, 1'000'000, nullptr, on);
-    dbt::FastRunResult rn = dbt::fastRun(naive, 1'000'000, nullptr, off);
+    dbt::FastRunResult ro = dbt::fastRun(opt, kBudget, nullptr, on);
+    dbt::FastRunResult rn = dbt::fastRun(naive, kBudget, nullptr, off);
 
     EXPECT_EQ(ro.instructions, rn.instructions) << source;
     EXPECT_EQ(ro.halted, rn.halted);
@@ -552,6 +560,37 @@ expectFastEquivalence(const std::string &source)
     for (unsigned f = 0; f < 4; ++f)
         EXPECT_EQ(opt.flags[f], naive.flags[f]) << "flag " << f;
     EXPECT_EQ(opt.mem, naive.mem) << source;
+
+    for (bool optimize : {true, false}) {
+        SCOPED_TRACE(optimize ? "engine, TB-opt on" : "engine, TB-opt off");
+        vm::MachineConfig machine;
+        machine.ramSize = kRam;
+        machine.program = prog;
+        core::EngineConfig config;
+        config.optimizeTb = optimize;
+        config.verifyTb = true;
+        config.maxInstructions = kBudget;
+        core::Engine engine(machine, config);
+        engine.run();
+        ASSERT_EQ(engine.allStates().size(), 1u);
+        const core::ExecutionState &s = *engine.allStates().front();
+        EXPECT_EQ(s.status == core::StateStatus::Halted, rn.halted);
+        EXPECT_EQ(s.instrCount, rn.instructions);
+        EXPECT_EQ(s.cpu.pc, rn.finalPc);
+        for (unsigned r = 0; r < isa::kNumRegs; ++r) {
+            ASSERT_TRUE(s.cpu.regs[r].isConcrete());
+            EXPECT_EQ(s.cpu.regs[r].concrete(), naive.regs[r]) << "r" << r;
+        }
+        for (unsigned f = 0; f < 4; ++f) {
+            ASSERT_TRUE(s.cpu.flags[f].isConcrete());
+            EXPECT_EQ(s.cpu.flags[f].concrete(), naive.flags[f])
+                << "flag " << f;
+        }
+        std::vector<uint8_t> ram(kRam);
+        for (uint32_t a = 0; a < kRam; ++a)
+            ASSERT_TRUE(s.mem.readConcreteByte(a, &ram[a])) << a;
+        EXPECT_EQ(ram, naive.mem);
+    }
 }
 
 TEST(Differential, FastAluLoop)

@@ -278,6 +278,31 @@ TEST(FastExec, DivisionTotalSemantics)
     EXPECT_EQ(m.regs[3], 7u);
 }
 
+TEST(FastExec, AccessNearTopOfAddressSpaceStaysInBounds)
+{
+    // addr + size wraps past 2^32 at 0xFFFFFFFE: the loads must read 0
+    // and the stores must be dropped, as at any out-of-range address.
+    FastMachine m = makeMachine(R"(
+        .entry main
+    main:
+        movi r1, 0x12345678
+        movi r2, 7
+        movi r3, 7
+        movi r10, 0xFFFFFFFE
+        ldw r2, [r10]
+        stw [r10], r1
+        ldhs r3, [r10]
+        sth [r10], r1
+        hlt
+    )");
+    std::vector<uint8_t> before = m.mem;
+    FastRunResult r = fastRun(m, 1000);
+    EXPECT_TRUE(r.halted);
+    EXPECT_EQ(m.regs[2], 0u);
+    EXPECT_EQ(m.regs[3], 0u);
+    EXPECT_EQ(m.mem, before);
+}
+
 TEST(FastExec, SelfModifyingCodeInvalidatesTb)
 {
     // Overwrite the movi immediate in a loop body: the second pass

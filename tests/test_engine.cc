@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/engine.hh"
+#include "dbt/semantics.hh"
+#include "expr/eval.hh"
 #include "vm/devices.hh"
 #include "vm/nic.hh"
 #include "plugins/searchers.hh"
@@ -39,6 +43,63 @@ finalRegValues(Engine &engine, unsigned reg)
     }
     std::sort(out.begin(), out.end());
     return out;
+}
+
+/**
+ * The micro-op table (dbt::evalBinary / dbt::evalUnary) against the
+ * expression semantics: lowerAlu on constant operands must fold to the
+ * table's value at width 32, and on variables (alone or mixed with a
+ * constant, as the engine builds them) must evaluate to it, so the
+ * builder's rewrites agree with the table too.
+ */
+TEST(Semantics, AluTableMatchesExpressionBuilder)
+{
+    std::vector<uint32_t> values = {0,          1,          31,
+                                    32,         33,         0x7FFFFFFF,
+                                    0x80000000, 0xFFFFFFFF};
+    std::mt19937 rng(25);
+    for (int i = 0; i < 8; ++i)
+        values.push_back(static_cast<uint32_t>(rng()));
+
+    ExprBuilder bld;
+    ExprRef x = bld.var("x", 32);
+    ExprRef y = bld.var("y", 32);
+    expr::Evaluator ev;
+    unsigned alu_ops = 0;
+    for (unsigned u = 0; u <= static_cast<unsigned>(dbt::UOp::S2Op); ++u) {
+        auto op = static_cast<dbt::UOp>(u);
+        bool unary = dbt::isAluUnary(op);
+        if (!unary && !dbt::isAluBinary(op))
+            continue;
+        alu_ops++;
+        for (uint32_t a : values) {
+            for (uint32_t b : values) {
+                SCOPED_TRACE(testing::Message()
+                             << "uop " << u << " a=" << a << " b=" << b);
+                uint32_t want = unary ? dbt::evalUnary(op, a)
+                                      : dbt::evalBinary(op, a, b);
+                ExprRef ca = bld.constant(a, 32);
+                ExprRef cb = unary ? nullptr : bld.constant(b, 32);
+                ExprRef folded = lowerAlu(op, ca, cb, bld);
+                ASSERT_TRUE(folded->isConstant());
+                EXPECT_EQ(folded->width(), 32u);
+                EXPECT_EQ(folded->value(), want);
+
+                expr::Assignment asg;
+                asg.set(x, a);
+                asg.set(y, b);
+                ev.reset(asg);
+                EXPECT_EQ(ev.evaluate(lowerAlu(op, x, unary ? nullptr : y,
+                                               bld)),
+                          want);
+                if (unary)
+                    continue;
+                EXPECT_EQ(ev.evaluate(lowerAlu(op, x, cb, bld)), want);
+                EXPECT_EQ(ev.evaluate(lowerAlu(op, ca, y, bld)), want);
+            }
+        }
+    }
+    EXPECT_EQ(alu_ops, 18u);
 }
 
 TEST(Engine, ConcreteExecutionMatchesFastMachine)

@@ -20,9 +20,14 @@
 #                                (solver + engine resilience paths and the
 #                                lifecycle suite's exactly-once resource
 #                                release: solver contexts and spill files,
-#                                the WorkQueue idle-wait tests, and the
+#                                the WorkQueue idle-wait tests, the
 #                                expression evaluator and variable-set
-#                                memo tests) plus
+#                                memo tests, the vanilla executor's
+#                                tests in test_dbt and the micro-op
+#                                table test in test_engine: UBSan
+#                                catches a shift or division guard gone
+#                                from dbt/semantics.hh, ASan an
+#                                out-of-bounds vanilla access) plus
 #                                `ctest -L replay` there
 #   3. a ThreadSanitizer build — `ctest -L tsan` under build-tsan/
 #                                (parallel, incremental, lifecycle,
@@ -102,8 +107,8 @@ if [ ! -f "$asan_dir/CMakeCache.txt" ]; then
     cmake -B "$asan_dir" -S "$repo_root" -DS2E_SANITIZE=address || exit 1
 fi
 cmake --build "$asan_dir" -j "$jobs" \
-    --target test_expr test_sat test_solver test_engine test_lifecycle \
-    test_replay test_workqueue || exit 1
+    --target test_expr test_sat test_solver test_dbt test_engine \
+    test_lifecycle test_replay test_workqueue || exit 1
 (cd "$asan_dir" && ctest -L sanitize --output-on-failure) || status=1
 (cd "$asan_dir" && ctest -L lifecycle --output-on-failure) || status=1
 (cd "$asan_dir" && ctest -L replay --output-on-failure) || status=1
